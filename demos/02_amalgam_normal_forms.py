@@ -30,8 +30,10 @@ print(f"side a representatives: {spec.trans_a}")
 print(f"side b representatives: {spec.trans_b}")
 print(f"splitting of 5 in Z6: t, d = {spec.decomp_b[5]}  (5 = 2 + 3)")
 
-# Reduction folds a raw word right to left.  Subgroup elements migrate
-# through the word and settle into the tail.
+# Reduction folds a raw word left to right onto a stack of representatives.
+# Each syllable absorbs the subgroup part carried so far, merges with the top
+# of the stack when it is on the same side, and splits off a new subgroup
+# part, which trails the word and ends up as the tail.
 words = [
     [(SIDE_A, 2)],                                  # iota_a of the generator
     [(SIDE_A, 3)],                                  # splits as 1 * iota_a(1)

@@ -11,13 +11,14 @@ two sides and d lies in the amalgamated subgroup D.  Representatives are
 fixed per side: identity for the subgroup's own coset, lowest element index
 for every other coset, and the subgroup part always trails (a = t * iota(d)).
 
-Reduction folds a raw word right to left.  Prepending a syllable x on side S
-merges x into the leading syllable when the sides match, splits the result
-into representative * subgroup part via the decomposition table, and pushes
-the subgroup part rightward through the head, converting it into each next
-syllable's side through the embeddings, until it is absorbed by the tail (or
-dies at the subgroup identity).  No search is involved; every step is a
-table lookup.
+Reduction folds a raw word left to right onto a stack of representatives,
+carrying the trailing subgroup part d.  Appending a syllable x on side S
+forms iota_S(d) * x, multiplies it into the top of the stack when the top is
+on side S (popping the top), splits the result into representative *
+subgroup part via the decomposition table, and pushes the representative
+unless it is the identity.  Because the subgroup part always trails, it
+never has to travel back through the stack, so each syllable costs O(1)
+table lookups and reduction is linear in the word length.
 """
 
 from __future__ import annotations
@@ -168,61 +169,43 @@ def identity_form(spec: AmalgamSpec) -> NormalForm:
     return NormalForm((), spec.d.identity)
 
 
-def _prepend(
-    spec: AmalgamSpec, head: list[Syllable], tail: int, side: str, x: int
+def _append(
+    spec: AmalgamSpec, stack: list[Syllable], d: int, syllables: Iterable[Syllable]
 ) -> int:
-    """Prepend syllable (side, x) to the normal form (head, tail) in place.
+    """Append raw syllables to the normal form (stack, d) in place.
 
-    Returns the new tail.  ``head`` is mutated.
+    Returns the new trailing subgroup part; ``stack`` is mutated.
     """
-    if side == SIDE_A:
-        g, dec, img = spec.a, spec.decomp_a, spec.iota_a.image
-    else:
-        g, dec, img = spec.b, spec.decomp_b, spec.iota_b.image
-    if head and head[0][0] == side:
-        x = g.mul[x][head[0][1]]
-        head.pop(0)
-    t, d_run = dec[x]
-    lead = (side, t) if t != g.identity else None
-    e_d = spec.d.identity
-    if d_run != e_d:
-        i = 0
-        while d_run != e_d and i < len(head):
-            s2, t2 = head[i]
-            if s2 == SIDE_A:
-                g2, dec2, img2 = spec.a, spec.decomp_a, spec.iota_a.image
-            else:
-                g2, dec2, img2 = spec.b, spec.decomp_b, spec.iota_b.image
-            t2n, d_run = dec2[g2.mul[img2[d_run]][t2]]
-            head[i] = (s2, t2n)
-            i += 1
-        if d_run != e_d:
-            tail = spec.d.mul[d_run][tail]
-    if lead is not None:
-        head.insert(0, lead)
-    return tail
-
-
-def _syllables(word: AmalgamWord | Sequence[Syllable] | Iterable[Syllable]) -> tuple[Syllable, ...]:
-    if isinstance(word, AmalgamWord):
-        return word.syllables
-    return tuple(word)
-
-
-def reduce_word(spec: AmalgamSpec, word: AmalgamWord | Sequence[Syllable]) -> NormalForm:
-    """Fold a raw word into its unique normal form, right to left."""
-    syls = _syllables(word)
-    head: list[Syllable] = []
-    tail = spec.d.identity
-    for side, x in reversed(syls):
-        if side not in (SIDE_A, SIDE_B):
+    a, b = spec.a, spec.b
+    side_a = (a.mul, spec.decomp_a, spec.iota_a.image, a.identity)
+    side_b = (b.mul, spec.decomp_b, spec.iota_b.image, b.identity)
+    for side, x in syllables:
+        if side == SIDE_A:
+            mul, decomp, img, e = side_a
+        elif side == SIDE_B:
+            mul, decomp, img, e = side_b
+        else:
             raise ValueError(f"unknown side {side!r}")
-        if not 0 <= x < spec.side_group(side).order:
+        if not 0 <= x < len(mul):
             raise ValueError(
                 f"element {x} out of range for side {side} of {spec.label}"
             )
-        tail = _prepend(spec, head, tail, side, x)
-    return NormalForm(tuple(head), tail)
+        x = mul[img[d]][x]
+        if stack and stack[-1][0] == side:
+            x = mul[stack.pop()[1]][x]
+        t, d = decomp[x]
+        if t != e:
+            stack.append((side, t))
+    return d
+
+
+def reduce_word(spec: AmalgamSpec, word: AmalgamWord | Sequence[Syllable]) -> NormalForm:
+    """Fold a raw word into its unique normal form, left to right, in time
+    linear in its length."""
+    syllables = word.syllables if isinstance(word, AmalgamWord) else word
+    stack: list[Syllable] = []
+    tail = _append(spec, stack, spec.d.identity, syllables)
+    return NormalForm(tuple(stack), tail)
 
 
 def to_word(spec: AmalgamSpec, form: NormalForm) -> AmalgamWord:
@@ -238,12 +221,11 @@ def syllable_count(spec: AmalgamSpec, form: NormalForm) -> int:
 
 
 def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
-    """Product of two normal forms (prepend u onto the already-reduced v)."""
-    head = list(v.head)
-    tail = v.tail
-    for side, x in reversed(to_word(spec, u).syllables):
-        tail = _prepend(spec, head, tail, side, x)
-    return NormalForm(tuple(head), tail)
+    """Product of two normal forms: fold v's head onto u, then multiply the
+    tails, in time O(|u| + |v|)."""
+    stack = list(u.head)
+    d = _append(spec, stack, u.tail, v.head)
+    return NormalForm(tuple(stack), spec.d.mul[d][v.tail])
 
 
 def word_inv(spec: AmalgamSpec, u: NormalForm) -> NormalForm:

@@ -245,7 +245,10 @@ def parse_group_spec(text: str) -> FiniteGroup:
     parts = ident_line.split()
     if len(parts) != 2 or parts[0] != "identity":
         raise fail(lineno, "expected 'identity <i>'")
-    identity = int(parts[1])
+    try:
+        identity = int(parts[1])
+    except ValueError:
+        raise fail(lineno, f"bad identity {parts[1]!r}") from None
     if not 0 <= identity < n:
         raise fail(lineno, f"identity index {identity} out of range")
 
@@ -312,10 +315,18 @@ def parse_action_spec(text: str, actor: FiniteGroup, space: FiniteGroup) -> Grou
         parts = head.split()
         if len(parts) != 2 or parts[0] != "c":
             raise ValueError(f"action spec line {lineno}: expected 'c <i>: ...'")
-        c = int(parts[1])
+        try:
+            c = int(parts[1])
+        except ValueError:
+            raise ValueError(f"action spec line {lineno}: bad actor index {parts[1]!r}") from None
         if not 0 <= c < actor.order or rows[c] is not None:
             raise ValueError(f"action spec line {lineno}: bad or repeated actor index {c}")
-        perm = tuple(int(v) for v in rest.split())
+        try:
+            perm = tuple(int(v) for v in rest.split())
+        except ValueError:
+            raise ValueError(
+                f"action spec line {lineno}: permutation entries must be integers"
+            ) from None
         if len(perm) != space.order:
             raise ValueError(
                 f"action spec line {lineno}: expected {space.order} entries"
@@ -335,6 +346,19 @@ def load_group(name: str) -> FiniteGroup:
     if not path.exists():
         raise ValueError(f"unknown group {name!r}: not a builtin and not a file")
     return parse_group_spec(path.read_text())
+
+
+def _load_amalgam_group(name: str) -> FiniteGroup:
+    """load_group for a factor, subgroup or actor of an amalgam: a group read
+    from a file must pass the axiom check before any amalgam is built on it."""
+    group = load_group(name)
+    if name not in BUILTIN_GROUPS:
+        failed = check_group_axioms(group).first_failure()
+        if failed is not None:
+            raise ValueError(
+                f"group file {name}: {failed.check} fails: {failed.witness}"
+            )
+    return group
 
 
 def load_action(arg: str, actor: FiniteGroup, space: FiniteGroup) -> GroupAction:
@@ -444,9 +468,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _amalgam_from_args(args: argparse.Namespace) -> AmalgamSpec:
-    a = load_group(args.A)
-    b = load_group(args.B)
-    d = load_group(args.D)
+    a = _load_amalgam_group(args.A)
+    b = _load_amalgam_group(args.B)
+    d = _load_amalgam_group(args.D)
     iota_a = hom_from_generators(d, a, parse_gen_map(args.iotaA))
     iota_b = hom_from_generators(d, b, parse_gen_map(args.iotaB))
     return make_amalgam(a, b, d, iota_a, iota_b)
@@ -462,7 +486,7 @@ def _cmd_nf(args: argparse.Namespace) -> int:
 
 def _cmd_iso_check(args: argparse.Namespace) -> int:
     spec = _amalgam_from_args(args)
-    c_group = load_group(args.C)
+    c_group = _load_amalgam_group(args.C)
     acts = CompatibleActionTriple(
         load_action(args.actA, c_group, spec.a),
         load_action(args.actB, c_group, spec.b),

@@ -24,6 +24,7 @@ from functools import lru_cache
 from .amalgam import SIDE_A, SIDE_B, NormalForm, Syllable, make_amalgam, reduce_word
 from .groups import hom_from_generators, inversion_action, make_cyclic
 from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam, phi
+from .products import SemidirectGroup
 
 __all__ = [
     "Mat2",
@@ -35,6 +36,7 @@ __all__ = [
     "standard_generators",
     "Glt2Word",
     "DihedralAmalgamForm",
+    "SyllableMatrices",
     "DihedralModel",
     "build_dihedral_model",
     "sl2_decompose",
@@ -118,33 +120,50 @@ class DihedralAmalgamForm:
 
 
 @dataclass(frozen=True)
+class SyllableMatrices:
+    """The matrix of every syllable of one amalgam's realization: ``a[x]`` and
+    ``b[x]`` for the elements of each side, ``d[x]`` for the subgroup."""
+
+    a: tuple[Mat2, ...]
+    b: tuple[Mat2, ...]
+    d: tuple[Mat2, ...]
+
+    def evaluate(self, form: NormalForm) -> Mat2:
+        """Exact matrix value of a normal form: one table lookup and one
+        product per syllable."""
+        acc = IDENTITY
+        for side, x in form.head:
+            acc = mat_mul(acc, (self.a if side == SIDE_A else self.b)[x])
+        return mat_mul(acc, self.d[form.tail])
+
+
+@dataclass(frozen=True)
 class DihedralModel:
     """The dihedral amalgam together with its matrix realization.
 
-    Side a is Z4 x| Z2 realized by (n, c) -> S^n J^c, side b is Z6 x| Z2
-    realized by (n, c) -> U^n J^c, and the subgroup Z2 x| Z2 is realized by
+    In the small amalgam Z4 *_Z2 Z6, side a is n -> S^n, side b is n -> U^n
+    and the subgroup is d -> S^2d = (-I)^d.  In the dihedral amalgam, side a
+    is Z4 x| Z2 realized by (n, c) -> S^n J^c, side b is Z6 x| Z2 realized by
+    (n, c) -> U^n J^c, and the subgroup Z2 x| Z2 is realized by
     (d, c) -> (-I)^d J^c.  Both lifted embeddings realize the same matrices
     because S^2 = U^3 = -I.
     """
 
     big: BigAmalgam
+    small_mats: SyllableMatrices
+    big_mats: SyllableMatrices
 
     def side_matrix(self, side: str, x: int) -> Mat2:
-        s_mat, u_mat, j_mat = standard_generators()
-        n, c = self.big.side_sd(side).decode(x)
-        base = mat_pow(s_mat if side == SIDE_A else u_mat, n)
-        return mat_mul(base, j_mat) if c else base
+        return (self.big_mats.a if side == SIDE_A else self.big_mats.b)[x]
 
     def sub_matrix(self, x: int) -> Mat2:
-        s_mat, _, j_mat = standard_generators()
-        d, c = self.big.sd_d.decode(x)
-        base = mat_pow(s_mat, 2 * d)
-        return mat_mul(base, j_mat) if c else base
+        return self.big_mats.d[x]
 
 
 @lru_cache(maxsize=1)
 def build_dihedral_model() -> DihedralModel:
-    """Construct the Z4/Z6/Z2 amalgam, its Z2-inversion lift, and the model."""
+    """Construct the Z4/Z6/Z2 amalgam, its Z2-inversion lift, and the
+    syllable matrix tables of both."""
     z2, z4, z6 = make_cyclic(2), make_cyclic(4), make_cyclic(6)
     small = make_amalgam(
         z4,
@@ -159,22 +178,25 @@ def build_dihedral_model() -> DihedralModel:
         inversion_action(actor, z6),
         inversion_action(actor, z2),
     )
-    return DihedralModel(make_big_amalgam(small, acts))
+    big = make_big_amalgam(small, acts)
 
+    s_mat, u_mat, j_mat = standard_generators()
+    s_pows = tuple(mat_pow(s_mat, n) for n in range(4))
+    u_pows = tuple(mat_pow(u_mat, n) for n in range(6))
+    small_mats = SyllableMatrices(s_pows, u_pows, s_pows[::2])
 
-def _eval_small(model: DihedralModel, form: NormalForm) -> Mat2:
-    s_mat, u_mat, _ = standard_generators()
-    acc = IDENTITY
-    for side, x in form.head:
-        acc = mat_mul(acc, mat_pow(s_mat if side == SIDE_A else u_mat, x))
-    return mat_mul(acc, mat_pow(s_mat, 2 * form.tail))
+    def lifted(sd: SemidirectGroup, base: tuple[Mat2, ...]) -> tuple[Mat2, ...]:
+        return tuple(
+            mat_mul(base[n], j_mat) if c else base[n]
+            for n, c in map(sd.decode, sd.flat.elements())
+        )
 
-
-def _eval_big(model: DihedralModel, form: NormalForm) -> Mat2:
-    acc = IDENTITY
-    for side, x in form.head:
-        acc = mat_mul(acc, model.side_matrix(side, x))
-    return mat_mul(acc, model.sub_matrix(form.tail))
+    big_mats = SyllableMatrices(
+        lifted(big.sd_a, small_mats.a),
+        lifted(big.sd_b, small_mats.b),
+        lifted(big.sd_d, small_mats.d),
+    )
+    return DihedralModel(big, small_mats, big_mats)
 
 
 def _eval_letters(word: Glt2Word) -> Mat2:
@@ -194,9 +216,9 @@ def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
     if isinstance(word, Glt2Word):
         return _eval_letters(word)
     if isinstance(word, DihedralAmalgamForm):
-        return _eval_big(model, word.form)
+        return model.big_mats.evaluate(word.form)
     if isinstance(word, NormalForm):
-        return _eval_small(model, word)
+        return model.small_mats.evaluate(word)
     raise TypeError(f"cannot evaluate {type(word).__name__}")
 
 
@@ -218,37 +240,27 @@ def sl2_decompose(m: Mat2) -> NormalForm:
         q = a // c
         a, b, c, d = -c, -d, a - q * c, b - q * d
         quotients.append(q)
-    # Now [[a, b], [0, d]] with a = d = +-1.
-    letters: list[tuple[str, int]] = []
+    # Now [[a, b], [0, d]] with a = d = +-1.  Syllable a:n is S^n and b:n is
+    # U^n, so S^-1 = a:3, S^2 = a:2, U = b:1 and U^-1 = b:5.
+    syls: list[Syllable] = []
 
     def emit_t_power(k: int) -> None:
-        # T = S^-1 U, so T^k is k alternating (s, -1)(u, 1) pairs.
-        step = ((("s", -1), ("u", 1)) if k > 0 else (("u", -1), ("s", 1)))
-        for _ in range(abs(k)):
-            letters.extend(step)
+        # T = S^-1 U, so T^k is k alternating (S^-1, U) pairs.
+        step = ((SIDE_A, 3), (SIDE_B, 1)) if k > 0 else ((SIDE_B, 5), (SIDE_A, 1))
+        syls.extend(step * abs(k))
 
     for q in quotients:
         emit_t_power(q)
-        letters.append(("s", -1))
+        syls.append((SIDE_A, 3))
     if a == 1:
         emit_t_power(b)
     else:
-        letters.append(("s", 2))
+        syls.append((SIDE_A, 2))
         emit_t_power(-b)
 
     model = build_dihedral_model()
-    syls: list[Syllable] = []
-    for letter, k in letters:
-        if letter == "s":
-            k %= 4
-            if k:
-                syls.append((SIDE_A, k))
-        else:
-            k %= 6
-            if k:
-                syls.append((SIDE_B, k))
     form = reduce_word(model.big.small, syls)
-    if _eval_small(model, form) != m:
+    if model.small_mats.evaluate(form) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form
 
@@ -270,7 +282,7 @@ def gl2_decompose(m: Mat2) -> DihedralAmalgamForm:
     m1, eps = gl2_split(m)
     small = sl2_decompose(m1)
     form = DihedralAmalgamForm(phi(model.big, small, eps))
-    if _eval_big(model, form.form) != m:
+    if model.big_mats.evaluate(form.form) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form
 

@@ -136,6 +136,76 @@ def test_parse_action_spec_verifies_the_action():
         parse_action_spec("action Z2 on Z4\nc 0: 0 1 2 3\nc 1: 1 0 2 3", z2, z4)
 
 
+def test_spec_files_report_the_line_of_a_bad_integer():
+    with pytest.raises(ValueError, match="group spec line 2: bad identity 'x'"):
+        parse_group_spec("group K order 2\nidentity x\nrow 0: 0 1\nrow 1: 1 0\ngenerators: 1")
+    z2, z4 = make_cyclic(2), make_cyclic(4)
+    with pytest.raises(ValueError, match="action spec line 3: bad actor index 'one'"):
+        parse_action_spec("action Z2 on Z4\nc 0: 0 1 2 3\nc one: 0 3 2 1", z2, z4)
+    with pytest.raises(ValueError, match="action spec line 2: permutation entries"):
+        parse_action_spec("action Z2 on Z4\nc 0: 0 1 2 z\nc 1: 0 3 2 1", z2, z4)
+
+
+def test_bad_integers_in_spec_files_exit_2_with_the_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(GOOD_GROUP.replace("identity 0", "identity e")))
+    assert run(["axioms", "-"]) == 2
+    assert capsys.readouterr().err == "error: group spec line 2: bad identity 'e'\n"
+    act_file = tmp_path / "bad.act"
+    act_file.write_text(TRIVIAL_ACTION_Z2_ON_Z4.replace("c 1: 0 1 2 3", "c 1: 0 1 2 3.0"))
+    args = [
+        "iso-check", "--A", "Z4", "--B", "Z4", "--D", "Z4", "--C", "Z2",
+        "--iotaA", "1:1", "--iotaB", "1:1",
+        "--actA", "inv", "--actB", "inv", "--actD", str(act_file),
+    ]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err == "error: action spec line 3: permutation entries must be integers\n"
+
+
+# Closed, with identity 0 and inverses, but (1 * 2) * 2 = 0 while 1 * (2 * 2) = 1.
+NON_ASSOCIATIVE_GROUP = """\
+group N order 3
+identity 0
+row 0: 0 1 2
+row 1: 1 0 2
+row 2: 2 2 0
+generators: 1 2
+"""
+
+
+@pytest.mark.parametrize("flag", ["--A", "--B", "--D"])
+def test_nf_rejects_a_group_file_that_fails_the_axioms(tmp_path, capsys, flag):
+    path = tmp_path / "bad.grp"
+    path.write_text(NON_ASSOCIATIVE_GROUP)
+    groups = {"--A": "Z4", "--B": "Z6", "--D": "Z2", flag: str(path)}
+    args = ["nf"] + [x for f, g in groups.items() for x in (f, g)]
+    assert run(args + ["--iotaA", "1:2", "--iotaB", "1:3", "a:1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: group file {path}: associativity fails: (x, y, z) = (1, 2, 2)\n"
+
+
+def test_iso_check_rejects_an_actor_file_that_fails_the_axioms(tmp_path, capsys):
+    path = tmp_path / "proj.grp"
+    path.write_text(BROKEN_GROUP)
+    args = [
+        "iso-check", "--A", "Z4", "--B", "Z6", "--D", "Z2", "--C", str(path),
+        "--iotaA", "1:2", "--iotaB", "1:3", "--actA", "inv", "--actB", "inv", "--actD", "inv",
+    ]
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: group file {path}: identity fails: x = 1\n"
+
+
+def test_nf_accepts_a_valid_group_file(tmp_path, capsys):
+    path = tmp_path / "klein.grp"
+    path.write_text(GOOD_GROUP)
+    assert run(["nf", "--A", str(path), "--B", "Z4", "--D", "Z2",
+                "--iotaA", "1:1", "--iotaB", "1:2", "a:1 * b:2"]) == 0
+    assert capsys.readouterr().out == "\n"
+
+
 def test_nf_subcommand_normalizes(capsys):
     code = run([
         "nf", "--A", "Z4", "--B", "Z6", "--D", "Z2",
