@@ -1,7 +1,8 @@
 """Finite-group amalgams, semidirect products, and GL2(Z) word decomposition.
 
 Groups are explicit multiplication tables, so every structural claim in this
-package is checked exhaustively at construction time.  The headline result:
+package can be checked exhaustively: inputs once, where they enter, and
+derived tables by construction and by the tests.  The headline result:
 a compatible action distributes over an amalgamated free product,
 
     (A *_D B) x| C  ~  (A x| C) *_(D x| C) (B x| C),

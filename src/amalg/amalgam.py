@@ -136,7 +136,11 @@ def make_amalgam(
     iota_b: GroupHom,
     label: str | None = None,
 ) -> AmalgamSpec:
-    """Assemble the amalgam data for A *_D B from two verified embeddings."""
+    """Assemble the amalgam data for A *_D B from two embeddings of D.
+
+    Each embedding is checked once, here, as an injective homomorphism from
+    D into its side.  The coset data is correct by construction.
+    """
     for name, hom, src, tgt in (
         ("iota_a", iota_a, d, a),
         ("iota_b", iota_b, d, b),
@@ -148,16 +152,6 @@ def make_amalgam(
             raise ValueError(f"{name} is not injective")
     trans_a, decomp_a = _coset_data(a, iota_a)
     trans_b, decomp_b = _coset_data(b, iota_b)
-    for g, trans, decomp, iota in (
-        (a, trans_a, decomp_a, iota_a),
-        (b, trans_b, decomp_b, iota_b),
-    ):
-        if trans[0] != g.identity:
-            raise ValueError(f"first representative in {g.label} is not the identity")
-        for x in g.elements():
-            t, dj = decomp[x]
-            if g.mul[t][iota.image[dj]] != x:
-                raise ValueError(f"splitting table wrong at element {x} of {g.label}")
     if label is None:
         label = f"{a.label} *[{d.label}] {b.label}"
     return AmalgamSpec(

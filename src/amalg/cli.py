@@ -252,10 +252,13 @@ def parse_group_spec(text: str) -> FiniteGroup:
     if not 0 <= identity < n:
         raise fail(lineno, f"identity index {identity} out of range")
 
-    rows: list[tuple[int, ...] | None] = [None] * n
     body = lines[2:]
     if len(body) < n + 1:
-        raise ValueError("group spec: missing rows or generators line")
+        raise fail(
+            lines[0][0],
+            f"order {n} needs {n} rows and a generators line, found {len(body)} lines",
+        )
+    rows: list[tuple[int, ...] | None] = [None] * n
     for lineno, line in body[:n]:
         if not line.startswith("row"):
             raise fail(lineno, "expected 'row <i>: ...'")
@@ -337,15 +340,24 @@ def parse_action_spec(text: str, actor: FiniteGroup, space: FiniteGroup) -> Grou
     return make_action(actor, space, tuple(r for r in rows if r is not None))
 
 
+def _read_spec_file(name: str, kind: str, builtins: str) -> str:
+    """The text of a group or action file; a name that is neither a builtin
+    nor a readable file is a usage error."""
+    path = Path(name)
+    if not path.exists():
+        raise ValueError(f"unknown {kind} {name!r}: not {builtins} and not a file")
+    try:
+        return path.read_text()
+    except OSError as e:
+        raise ValueError(f"cannot read {kind} file {name!r}: {e.strerror}") from None
+
+
 def load_group(name: str) -> FiniteGroup:
     """A builtin name (Z1 Z2 Z3 Z4 Z6 D2 D4 D6) or a path to a group file."""
     if name in BUILTIN_GROUPS:
         kind, k = name[0], int(name[1:])
         return make_cyclic(k) if kind == "Z" else make_dihedral(k)
-    path = Path(name)
-    if not path.exists():
-        raise ValueError(f"unknown group {name!r}: not a builtin and not a file")
-    return parse_group_spec(path.read_text())
+    return parse_group_spec(_read_spec_file(name, "group", "a builtin"))
 
 
 def _load_amalgam_group(name: str) -> FiniteGroup:
@@ -365,10 +377,7 @@ def load_action(arg: str, actor: FiniteGroup, space: FiniteGroup) -> GroupAction
     """The builtin name 'inv' or a path to an action file."""
     if arg == "inv":
         return inversion_action(actor, space)
-    path = Path(arg)
-    if not path.exists():
-        raise ValueError(f"unknown action {arg!r}: not 'inv' and not a file")
-    return parse_action_spec(path.read_text(), actor, space)
+    return parse_action_spec(_read_spec_file(arg, "action", "'inv'"), actor, space)
 
 
 def parse_gen_map(arg: str) -> dict[int, int]:
@@ -379,9 +388,12 @@ def parse_gen_map(arg: str) -> dict[int, int]:
         if not sep:
             raise ValueError(f"bad generator map entry {piece!r}, expected 'i:j'")
         try:
-            out[int(left)] = int(right)
+            key, value = int(left), int(right)
         except ValueError:
             raise ValueError(f"bad generator map entry {piece!r}") from None
+        if key in out:
+            raise ValueError(f"repeated generator map entry {piece!r}")
+        out[key] = value
     return out
 
 
@@ -432,6 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nf.add_argument("--iotaA", required=True)
     p_nf.add_argument("--iotaB", required=True)
     p_nf.add_argument("word")
+    p_nf.set_defaults(func=_cmd_nf)
 
     p_iso = sub.add_parser(
         "iso-check", parents=[common],
@@ -444,26 +457,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("--actA", required=True)
     p_iso.add_argument("--actB", required=True)
     p_iso.add_argument("--actD", required=True)
+    p_iso.set_defaults(func=_cmd_iso_check)
 
     sub.add_parser(
         "functor-check", parents=[common],
         help="verify functor laws on the builtin inversion catalog",
-    )
+    ).set_defaults(func=_cmd_functor_check)
 
     p_gl2 = sub.add_parser("gl2", help="GL2(Z) word operations")
     gl2_sub = p_gl2.add_subparsers(dest="gl2_command", required=True)
     p_gd = gl2_sub.add_parser("decompose", parents=[common])
     p_gd.add_argument("matrix")
+    p_gd.set_defaults(func=_cmd_gl2_decompose)
     p_ge = gl2_sub.add_parser("eval", parents=[common])
     p_ge.add_argument("word")
+    p_ge.set_defaults(func=_cmd_gl2_eval)
 
     p_sl2 = sub.add_parser("sl2", help="SL2(Z) word operations")
     sl2_sub = p_sl2.add_subparsers(dest="sl2_command", required=True)
     p_sd = sl2_sub.add_parser("decompose", parents=[common])
     p_sd.add_argument("matrix")
+    p_sd.set_defaults(func=_cmd_sl2_decompose)
 
     p_ax = sub.add_parser("axioms", parents=[common], help="check group axioms")
     p_ax.add_argument("group")
+    p_ax.set_defaults(func=_cmd_axioms)
     return parser
 
 
@@ -558,21 +576,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command == "nf":
-            return _cmd_nf(args)
-        if args.command == "iso-check":
-            return _cmd_iso_check(args)
-        if args.command == "functor-check":
-            return _cmd_functor_check(args)
-        if args.command == "gl2":
-            if args.gl2_command == "decompose":
-                return _cmd_gl2_decompose(args)
-            return _cmd_gl2_eval(args)
-        if args.command == "sl2":
-            return _cmd_sl2_decompose(args)
-        if args.command == "axioms":
-            return _cmd_axioms(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.func(args)
     except ParseError as e:
         print(str(e), file=sys.stderr)
         return 2

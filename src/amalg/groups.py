@@ -9,8 +9,9 @@ exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .reporting import CheckRecord, Report
+from .reporting import CheckRecord, Report, first_witness
 
 __all__ = [
     "FiniteGroup",
@@ -161,68 +162,47 @@ def check_group_axioms(g: FiniteGroup) -> Report:
 
     Stops at the first violated axiom and reports a witness for it.
     """
-    records: list[CheckRecord] = []
-    n = g.order
-    mul = g.mul
+    n, mul, e = g.order, g.mul, g.identity
+    # Each stream is read only up to its first witness, so a later loop may
+    # assume that the loops before it found nothing.
 
-    ok = True
-    witness = None
-    if len(mul) != n or any(len(row) != n for row in mul):
-        ok, witness = False, "table is not square"
-    else:
-        for row in mul:
-            for v in row:
-                if not 0 <= v < n:
-                    ok, witness = False, f"entry {v} out of range"
-                    break
-            if not ok:
-                break
-    if ok:
-        for x in range(n):
-            for y in range(n):
-                xy = mul[x][y]
+    def associativity() -> Iterator[str]:
+        if any(len(row) != n for row in mul):
+            yield "table is not square"
+        yield from (f"entry {v} out of range" for row in mul for v in row if not 0 <= v < n)
+        for x, row_x in enumerate(mul):
+            for y, row_y in enumerate(mul):
+                row_xy = mul[row_x[y]]
                 for z in range(n):
-                    if mul[xy][z] != mul[x][mul[y][z]]:
-                        ok, witness = False, f"(x, y, z) = ({x}, {y}, {z})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-    records.append(CheckRecord("associativity", g.label, ok, witness))
-    if not ok:
-        return Report(tuple(records))
+                    if row_xy[z] != row_x[row_y[z]]:
+                        yield f"(x, y, z) = ({x}, {y}, {z})"
 
-    e = g.identity
-    ok, witness = True, None
-    if not 0 <= e < n:
-        ok, witness = False, f"identity index {e} out of range"
-    else:
-        for x in range(n):
-            if mul[e][x] != x or mul[x][e] != x:
-                ok, witness = False, f"x = {x}"
-                break
-    records.append(CheckRecord("identity", g.label, ok, witness))
-    if not ok:
-        return Report(tuple(records))
+    def identity() -> Iterator[str]:
+        if not 0 <= e < n:
+            yield f"identity index {e} out of range"
+        yield from (f"x = {x}" for x in range(n) if mul[e][x] != x or mul[x][e] != x)
 
-    ok, witness = True, None
-    if len(g.inv) != n:
-        ok, witness = False, "inverse table has wrong length"
-    else:
-        for x in range(n):
-            y = g.inv[x]
+    def inverses() -> Iterator[str]:
+        if len(g.inv) != n:
+            yield "inverse table has wrong length"
+        for x, y in enumerate(g.inv):
             if not 0 <= y < n or mul[x][y] != e or mul[y][x] != e:
-                ok, witness = False, f"x = {x}, claimed inverse {y}"
-                break
-    records.append(CheckRecord("inverses", g.label, ok, witness))
-    if not ok:
-        return Report(tuple(records))
+                yield f"x = {x}, claimed inverse {y}"
 
-    reached = _generated_set(g)
-    ok = len(reached) == n
-    witness = None if ok else f"unreached element {min(set(range(n)) - reached)}"
-    records.append(CheckRecord("generation", g.label, ok, witness))
+    def generation() -> Iterator[str]:
+        reached = _generated_set(g)
+        yield from (f"unreached element {x}" for x in range(n) if x not in reached)
+
+    records: list[CheckRecord] = []
+    for check, witnesses in (
+        ("associativity", associativity()),
+        ("identity", identity()),
+        ("inverses", inverses()),
+        ("generation", generation()),
+    ):
+        records.append(first_witness(check, g.label, witnesses))
+        if not records[-1].ok:
+            break
     return Report(tuple(records))
 
 
@@ -407,8 +387,7 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> GroupHom | None:
         if pos == len(gen_idx):
             table, _ = _extend_generator_images(g, h, chosen)
             if table is not None and len(set(table)) == g.order:
-                hom = make_hom(g, h, tuple(table))
-                return hom
+                return make_hom(g, h, tuple(table))
             return None
         for x in candidates[pos]:
             chosen[gen_idx[pos]] = x

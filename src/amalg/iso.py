@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator
 
 from .amalgam import (
     SIDE_A,
@@ -38,9 +39,9 @@ from .amalgam import (
     word_inv,
     word_mul,
 )
-from .groups import FiniteGroup, GroupAction, make_hom
+from .groups import FiniteGroup, GroupAction, GroupHom
 from .products import SemidirectGroup, semidirect
-from .reporting import CheckRecord, Report
+from .reporting import Report, first_witness
 
 __all__ = [
     "CompatibleActionTriple",
@@ -141,38 +142,24 @@ class BigAmalgam:
 
 
 def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmalgam:
-    """Build (A x| C) *_(D x| C) (B x| C) with the lifted embeddings."""
+    """Build (A x| C) *_(D x| C) (B x| C) with the lifted embeddings.
+
+    The actions are checked for compatibility first.  The lifts
+    (d, c) -> (iota(d), c) are then checked once, by ``make_amalgam``, as
+    injective homomorphisms of the flat semidirect tables.
+    """
     action = induce_action_on_amalgam(spec, acts)
     c_group = acts.actor
     sd_a = semidirect(spec.a, c_group, acts.act_a)
     sd_b = semidirect(spec.b, c_group, acts.act_b)
     sd_d = semidirect(spec.d, c_group, acts.act_d)
-    lift_a = make_hom(
-        sd_d.flat,
-        sd_a.flat,
-        tuple(
-            sd_a.encode(spec.iota_a.image[d], c)
-            for d in spec.d.elements()
-            for c in c_group.elements()
-        ),
+    lift_a, lift_b = (
+        GroupHom(sd_d.flat, sd.flat, tuple(
+            sd.encode(iota.image[d], c) for d in spec.d.elements() for c in c_group.elements()
+        ))
+        for sd, iota in ((sd_a, spec.iota_a), (sd_b, spec.iota_b))
     )
-    lift_b = make_hom(
-        sd_d.flat,
-        sd_b.flat,
-        tuple(
-            sd_b.encode(spec.iota_b.image[d], c)
-            for d in spec.d.elements()
-            for c in c_group.elements()
-        ),
-    )
-    big_spec = make_amalgam(
-        sd_a.flat,
-        sd_b.flat,
-        sd_d.flat,
-        lift_a,
-        lift_b,
-        label=f"{sd_a.flat.label} *[{sd_d.flat.label}] {sd_b.flat.label}",
-    )
+    big_spec = make_amalgam(sd_a.flat, sd_b.flat, sd_d.flat, lift_a, lift_b)
     return BigAmalgam(spec, acts, sd_a, sd_b, sd_d, big_spec, action)
 
 
@@ -269,129 +256,67 @@ def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
 def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:
     """Check that nu is injective, mu is onto C, and image nu = kernel mu,
     over all big-amalgam forms of head length at most ``bound``."""
-    label = big.spec.label
-    records: list[CheckRecord] = []
-
-    small_forms = enumerate_forms(big.small, bound)
-    images = [nu(big, w) for w in small_forms]
-    distinct = len(set(images)) == len(images)
-    records.append(
-        CheckRecord(
-            "nu-injective",
-            label,
-            distinct,
-            None if distinct else "nu collides within the bound",
-        )
-    )
-
-    big_forms = enumerate_forms(big.spec, bound)
-    seen_c = {mu(big, g) for g in big_forms}
-    onto = seen_c == set(big.actor.elements())
-    records.append(
-        CheckRecord(
-            "mu-surjective",
-            label,
-            onto,
-            None if onto else f"missing actor elements {sorted(set(big.actor.elements()) - seen_c)}",
-        )
-    )
-
-    kernel = {g for g in big_forms if mu(big, g) == big.actor.identity}
+    images = [nu(big, w) for w in enumerate_forms(big.small, bound)]
     image = set(images)
-    ok = kernel == image
-    witness = None
-    if not ok:
-        stray = (kernel - image) or (image - kernel)
-        witness = f"symmetric difference sample: {next(iter(stray))}"
-    records.append(CheckRecord("kernel-equals-image", label, ok, witness))
-    return Report(tuple(records))
+    big_forms = enumerate_forms(big.spec, bound)
+    mus = [mu(big, g) for g in big_forms]
+    missing = sorted(set(big.actor.elements()) - set(mus))
+    kernel = {g for g, c in zip(big_forms, mus) if c == big.actor.identity}
+    stray = (kernel - image) or (image - kernel)
+    checks = (
+        ("nu-injective", ["nu collides within the bound"] if len(image) != len(images) else []),
+        ("mu-surjective", [f"missing actor elements {missing}"] if missing else []),
+        ("kernel-equals-image", (f"symmetric difference sample: {g}" for g in stray)),
+    )
+    return Report(tuple(first_witness(check, big.spec.label, w) for check, w in checks))
 
 
 def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
     """Check the splitting: mu o tau = id, tau is a hom, phi satisfies the
-    hom law on seeded samples, and phi/phi_inv invert each other."""
-    label = big.spec.label
-    c_group = big.actor
-    records: list[CheckRecord] = []
+    hom law on seeded samples, and phi/phi_inv invert each other.
+
+    Samples are drawn only as a check reads them, and a check stops at its
+    first counterexample, so a later check's draws start where it stopped.
+    """
+    spec, c_group = big.spec, big.actor
+    cs = c_group.elements()
     sd = SmallSemidirect(big)
+    rng = random.Random(seed)
 
-    bad = next(
-        (c for c in c_group.elements() if mu(big, tau(big, c)) != c), None
-    )
-    records.append(
-        CheckRecord(
-            "mu-tau-identity", label, bad is None,
-            None if bad is None else f"c = {bad}",
-        )
-    )
+    def drawn(draw: Callable[[], Any]) -> Iterator[Any]:
+        return (draw() for _ in range(samples))
 
-    ok, witness = True, None
-    for c1 in c_group.elements():
-        for c2 in c_group.elements():
-            lhs = word_mul(big.spec, tau(big, c1), tau(big, c2))
-            if lhs != tau(big, c_group.mul[c1][c2]):
-                ok, witness = False, f"(c1, c2) = ({c1}, {c2})"
-                break
-        if not ok:
-            break
-    records.append(CheckRecord("tau-homomorphism", label, ok, witness))
+    def small() -> NormalForm:
+        return random_form(rng, big.small, 6)
+
+    def pair() -> tuple[NormalForm, int]:
+        return small(), rng.randrange(c_group.order)
+
+    def phi_hom(pairs: Iterable[tuple[Any, Any]]) -> Iterator[str]:
+        for x, y in pairs:
+            if phi(big, *sd.mul(x, y)) != word_mul(spec, phi(big, *x), phi(big, *y)):
+                yield f"x = {x}, y = {y}"
 
     # Exhaustive hom law on single-syllable pairs.
-    shorts = [
-        (w, c)
-        for w in enumerate_forms(big.small, 1)
-        for c in c_group.elements()
-    ]
-    ok, witness = True, None
-    for x in shorts:
-        for y in shorts:
-            lhs = phi(big, *sd.mul(x, y))
-            rhs = word_mul(big.spec, phi(big, *x), phi(big, *y))
-            if lhs != rhs:
-                ok, witness = False, f"x = {x}, y = {y}"
-                break
-        if not ok:
-            break
-    records.append(CheckRecord("phi-hom-single-syllable", label, ok, witness))
-
-    rng = random.Random(seed)
-    max_head = 6
-    ok, witness = True, None
-    for _ in range(samples):
-        x = (random_form(rng, big.small, max_head), rng.randrange(c_group.order))
-        y = (random_form(rng, big.small, max_head), rng.randrange(c_group.order))
-        lhs = phi(big, *sd.mul(x, y))
-        rhs = word_mul(big.spec, phi(big, *x), phi(big, *y))
-        if lhs != rhs:
-            ok, witness = False, f"x = {x}, y = {y}"
-            break
-    records.append(CheckRecord("phi-homomorphism", label, ok, witness))
-
-    ok, witness = True, None
-    for _ in range(samples):
-        x = (random_form(rng, big.small, max_head), rng.randrange(c_group.order))
-        if phi_inv(big, phi(big, *x)) != x:
-            ok, witness = False, f"x = {x}"
-            break
-    records.append(CheckRecord("phi-inv-after-phi", label, ok, witness))
-
-    ok, witness = True, None
-    for _ in range(samples):
-        g = random_form(rng, big.spec, max_head)
-        w, c = phi_inv(big, g)
-        if phi(big, w, c) != g:
-            ok, witness = False, f"g = {g}"
-            break
-    records.append(CheckRecord("phi-after-phi-inv", label, ok, witness))
-
-    ok, witness = True, None
-    for _ in range(samples):
-        u = random_form(rng, big.small, max_head)
-        v = random_form(rng, big.small, max_head)
-        if nu(big, word_mul(big.small, u, v)) != word_mul(
-            big.spec, nu(big, u), nu(big, v)
-        ):
-            ok, witness = False, f"u = {u}, v = {v}"
-            break
-    records.append(CheckRecord("nu-homomorphism", label, ok, witness))
-    return Report(tuple(records))
+    shorts = [(w, c) for w in enumerate_forms(big.small, 1) for c in cs]
+    checks = (
+        ("mu-tau-identity", (f"c = {c}" for c in cs if mu(big, tau(big, c)) != c)),
+        ("tau-homomorphism", (
+            f"(c1, c2) = ({c1}, {c2})" for c1 in cs for c2 in cs
+            if word_mul(spec, tau(big, c1), tau(big, c2)) != tau(big, c_group.mul[c1][c2])
+        )),
+        ("phi-hom-single-syllable", phi_hom((x, y) for x in shorts for y in shorts)),
+        ("phi-homomorphism", phi_hom(drawn(lambda: (pair(), pair())))),
+        ("phi-inv-after-phi", (
+            f"x = {x}" for x in drawn(pair) if phi_inv(big, phi(big, *x)) != x
+        )),
+        ("phi-after-phi-inv", (
+            f"g = {g}" for g in drawn(lambda: random_form(rng, spec, 6))
+            if phi(big, *phi_inv(big, g)) != g
+        )),
+        ("nu-homomorphism", (
+            f"u = {u}, v = {v}" for u, v in drawn(lambda: (small(), small()))
+            if nu(big, word_mul(big.small, u, v)) != word_mul(spec, nu(big, u), nu(big, v))
+        )),
+    )
+    return Report(tuple(first_witness(check, spec.label, w) for check, w in checks))

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+__all__ = ["CheckRecord", "Report"]
 
 
 @dataclass(frozen=True)
@@ -26,10 +29,15 @@ class Report:
         return all(r.ok for r in self.records)
 
     def first_failure(self) -> CheckRecord | None:
-        for r in self.records:
-            if not r.ok:
-                return r
-        return None
+        return next((r for r in self.records if not r.ok), None)
 
     def __add__(self, other: "Report") -> "Report":
         return Report(self.records + other.records)
+
+
+def first_witness(check: str, instance: str, witnesses: Iterable[str]) -> CheckRecord:
+    """Record ``check`` on ``instance`` from a lazy stream of counterexamples:
+    it passes when the stream is empty, and otherwise the first witness is
+    recorded and nothing after it is drawn."""
+    witness = next(iter(witnesses), None)
+    return CheckRecord(check, instance, witness is None, witness)

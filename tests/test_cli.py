@@ -368,3 +368,40 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.count("PASS") == 4
+
+
+def test_unreadable_spec_files_exit_2(tmp_path, capsys):
+    folder = str(tmp_path)
+    assert run(["axioms", folder]) == 2
+    assert capsys.readouterr().err == f"error: cannot read group file {folder!r}: Is a directory\n"
+    assert run(["nf", "--A", folder, "--B", "Z6", "--D", "Z2",
+                "--iotaA", "1:2", "--iotaB", "1:3", "a:1"]) == 2
+    assert capsys.readouterr().err == f"error: cannot read group file {folder!r}: Is a directory\n"
+    args = [
+        "iso-check", "--A", "Z4", "--B", "Z6", "--D", "Z2", "--C", "Z2",
+        "--iotaA", "1:2", "--iotaB", "1:3",
+        "--actA", folder, "--actB", "inv", "--actD", "inv",
+    ]
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"error: cannot read action file {folder!r}: Is a directory\n"
+
+
+@pytest.mark.parametrize("n, rows", [(10**20, "row 0: 0\n"), (3, "row 0: 0 1 2\n")])
+def test_group_spec_order_beyond_the_rows_given_exits_2(monkeypatch, capsys, n, rows):
+    text = f"group K order {n}\nidentity 0\n{rows}generators: 1\n"
+    with pytest.raises(ValueError, match=f"group spec line 1: order {n} needs {n} rows"):
+        parse_group_spec(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(["axioms", "-"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: group spec line 1: order {n} needs {n} rows and a generators line, "
+        "found 2 lines\n"
+    )
+
+
+def test_repeated_generator_map_entry_is_rejected(capsys):
+    with pytest.raises(ValueError, match="repeated generator map entry '1:2'"):
+        parse_gen_map("1:3,1:2")
+    assert run(["nf", "--A", "Z4", "--B", "Z6", "--D", "Z2",
+                "--iotaA", "1:3,1:2", "--iotaB", "1:3", "a:1"]) == 2
+    assert capsys.readouterr().err == "error: repeated generator map entry '1:2'\n"

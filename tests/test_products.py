@@ -180,3 +180,9 @@ def test_functor_laws_flag_corrupted_catalog_entry():
     failure = report.first_failure()
     assert failure.check == "functor-composition"
     assert "not a homomorphism" in failure.witness or "not equivariant" in failure.witness
+
+
+def test_split_maps_are_homomorphisms():
+    for n in (2, 4, 6):
+        for f in split_maps(make_inversion_semidirect(n)):
+            assert make_hom(f.source, f.target, f.image) == f
