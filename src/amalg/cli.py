@@ -12,8 +12,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable, Collection
 
-from .amalgam import AmalgamSpec, AmalgamWord, make_amalgam, reduce_word, to_word
+from .amalgam import SIDE_A, SIDE_B, AmalgamSpec, AmalgamWord, make_amalgam, reduce_word, to_word
 from .groups import (
     FiniteGroup,
     GroupAction,
@@ -26,9 +27,11 @@ from .groups import (
 )
 from .iso import CompatibleActionTriple, make_big_amalgam, verify_exact_sequence, verify_split
 from .matgroup import (
+    LETTERS,
     Glt2Word,
     Mat2,
     evaluate_word,
+    fold_letters,
     form_to_letters,
     gl2_decompose,
     sl2_decompose,
@@ -93,8 +96,10 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
+        if self.pos < len(self.text) and self.text[self.pos].isdigit():
+            raise ParseError(self.pos, f"non-ASCII digit {self.text[self.pos]!r}")
         if self.pos == digits:
             raise ParseError(start, "expected an integer")
         return int(self.text[start : self.pos])
@@ -124,82 +129,53 @@ def parse_matrix(text: str) -> Mat2:
     return Mat2(a, b, c, d)
 
 
-def _fold_letters(raw: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    stack: list[tuple[str, int]] = []
-    for letter, k in raw:
-        if stack and stack[-1][0] == letter:
-            k += stack.pop()[1]
-            if k == 0:
-                continue
-        if k != 0:
-            stack.append((letter, k))
-    return tuple(stack)
+def _parse_terms(
+    text: str, heads: Collection[str], kind: str, body: Callable[[_Scanner, str], Any]
+) -> list[tuple[Any, int]]:
+    """Parse ``term ('*' term)*``, or only whitespace for no terms.  A term is
+    a head character, whatever ``body(scanner, head)`` reads after it, and an
+    optional nonzero exponent ``^k``; each term is returned as (body, k)."""
+    s = _Scanner(text)
+    terms: list[tuple[Any, int]] = []
+    while not s.eof():
+        if terms:
+            s.expect("*")
+            if s.eof():
+                raise ParseError(s.pos, "expected a term after '*'")
+        head = s.peek()
+        if head not in heads:
+            raise ParseError(s.pos, f"unknown {kind} {head!r}")
+        s.pos += 1
+        value = body(s, head)
+        exp = 1
+        if s.peek() == "^":
+            s.expect("^")
+            exp_off = s.pos
+            exp = s.integer()
+            if exp == 0:
+                raise ParseError(exp_off, "zero exponent")
+        terms.append((value, exp))
+    return terms
 
 
 def parse_letter_word(text: str) -> Glt2Word:
     """Parse a word like 's^3 * u^2 * j'; the empty string is the empty word."""
-    s = _Scanner(text)
-    if s.eof():
-        return Glt2Word(())
-    raw: list[tuple[str, int]] = []
-    while True:
-        s.skip_ws()
-        off = s.pos
-        ch = s.text[s.pos] if s.pos < len(s.text) else ""
-        if ch not in ("s", "u", "j"):
-            raise ParseError(off, f"unknown letter {ch!r}" if ch else "expected a term")
-        s.pos += 1
-        exp = 1
-        if s.peek() == "^":
-            s.expect("^")
-            exp_off = s.pos
-            exp = s.integer()
-            if exp == 0:
-                raise ParseError(exp_off, "zero exponent")
-        raw.append((ch, exp))
-        if s.eof():
-            break
-        s.expect("*")
-        if s.eof():
-            raise ParseError(s.pos, "expected a term after '*'")
-    return Glt2Word(_fold_letters(raw))
+    return Glt2Word(fold_letters(_parse_terms(text, LETTERS, "letter", lambda s, head: head)))
 
 
 def parse_amalgam_word(text: str, spec: AmalgamSpec) -> AmalgamWord:
     """Parse a word like 'a:1 * b:2 * a:3^-1' over the given amalgam."""
-    s = _Scanner(text)
-    if s.eof():
-        return AmalgamWord(())
-    syls: list[tuple[str, int]] = []
-    while True:
-        s.skip_ws()
-        off = s.pos
-        ch = s.text[s.pos] if s.pos < len(s.text) else ""
-        if ch not in ("a", "b"):
-            raise ParseError(off, f"unknown side {ch!r}" if ch else "expected a term")
-        s.pos += 1
+
+    def syllable(s: _Scanner, side: str) -> tuple[str, int]:
         s.expect(":")
         idx_off = s.pos
         idx = s.integer()
-        group = spec.side_group(ch)
-        if not 0 <= idx < group.order:
-            raise ParseError(
-                idx_off, f"element index {idx} out of range for side {ch}"
-            )
-        exp = 1
-        if s.peek() == "^":
-            s.expect("^")
-            exp_off = s.pos
-            exp = s.integer()
-            if exp == 0:
-                raise ParseError(exp_off, "zero exponent")
-        syls.append((ch, group.power(idx, exp)))
-        if s.eof():
-            break
-        s.expect("*")
-        if s.eof():
-            raise ParseError(s.pos, "expected a term after '*'")
-    return AmalgamWord(tuple(syls))
+        if not 0 <= idx < spec.side_group(side).order:
+            raise ParseError(idx_off, f"element index {idx} out of range for side {side}")
+        return side, idx
+
+    terms = _parse_terms(text, (SIDE_A, SIDE_B), "side", syllable)
+    return AmalgamWord(tuple((side, spec.side_group(side).power(x, k)) for (side, x), k in terms))
 
 
 def render_matrix(m: Mat2) -> str:
@@ -285,6 +261,8 @@ def parse_group_spec(text: str) -> FiniteGroup:
         raise fail(lineno, "generator indices must be integers") from None
     if any(not 0 <= g < n for g in gen_idx):
         raise fail(lineno, "generator index out of range")
+    if len(body) > n + 1:
+        raise fail(body[n + 1][0], "unexpected line after the generators line")
 
     mul = tuple(r for r in rows if r is not None)
     inv = []

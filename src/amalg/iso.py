@@ -261,8 +261,9 @@ def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:
     big_forms = enumerate_forms(big.spec, bound)
     mus = [mu(big, g) for g in big_forms]
     missing = sorted(set(big.actor.elements()) - set(mus))
-    kernel = {g for g, c in zip(big_forms, mus) if c == big.actor.identity}
-    stray = (kernel - image) or (image - kernel)
+    # Ordered like the enumeration, so the witness does not follow str hashing.
+    kernel = dict.fromkeys(g for g, c in zip(big_forms, mus) if c == big.actor.identity)
+    stray = [g for g in kernel if g not in image] or [g for g in images if g not in kernel]
     checks = (
         ("nu-injective", ["nu collides within the bound"] if len(image) != len(images) else []),
         ("mu-surjective", [f"missing actor elements {missing}"] if missing else []),

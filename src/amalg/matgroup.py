@@ -14,16 +14,20 @@ to determinant -1 through the order-2 section
 landing in the dihedral amalgam built from Z4 x| Z2, Z6 x| Z2, Z2 x| Z2 with
 inversion actions.  All arithmetic is plain Python int, so entries may grow
 without overflow.
+
+``LETTERS`` is the one table of the letters s, u, j: their powers, orders and
+amalgam sides.  Every function here that reads or writes letter words uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any, Iterable, Mapping
 
 from .amalgam import SIDE_A, SIDE_B, NormalForm, Syllable, make_amalgam, reduce_word
 from .groups import hom_from_generators, inversion_action, make_cyclic
-from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam, phi
+from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam, nu, phi
 from .products import SemidirectGroup
 
 __all__ = [
@@ -105,6 +109,63 @@ def standard_generators() -> tuple[Mat2, Mat2, Mat2]:
     return Mat2(0, -1, 1, 0), Mat2(0, -1, 1, 1), Mat2(0, 1, 1, 0)
 
 
+def _table_product(tables: Mapping[str, Any], keys: Iterable[tuple[str, int]]) -> Mat2:
+    """The product of ``tables[name][i]`` over the pairs (name, i), left to right."""
+    acc = IDENTITY
+    for name, i in keys:
+        acc = mat_mul(acc, tables[name][i])
+    return acc
+
+
+@dataclass(frozen=True)
+class Letter:
+    """A letter of GL2(Z) words: ``powers[k]`` is its k-th power, so its order
+    is ``len(powers)``.  Syllable x of ``side`` is its x-th power; j lies in
+    the amalgamated subgroup and has no side."""
+
+    powers: tuple[Mat2, ...]
+    side: str | None
+
+    def __getitem__(self, k: int) -> Mat2:
+        """The k-th power, for any integer k."""
+        return self.powers[k % len(self.powers)]
+
+    def syllable(self, k: int) -> Syllable:
+        """The k-th power as a syllable of the Z4/Z6/Z2 amalgam."""
+        return self.side, k % len(self.powers)
+
+
+_S, _U, _J = standard_generators()
+LETTERS = {
+    name: Letter(tuple(mat_pow(m, n) for n in range(order)), side)
+    for name, m, order, side in (
+        ("s", _S, 4, SIDE_A),
+        ("u", _U, 6, SIDE_B),
+        ("j", _J, 2, None),
+    )
+}
+_SIDE_LETTER = {letter.side: name for name, letter in LETTERS.items() if letter.side}
+
+
+def _letter(name: str) -> Letter:
+    try:
+        return LETTERS[name]
+    except KeyError:
+        raise ValueError(f"unknown letter {name!r}") from None
+
+
+def fold_letters(raw: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """Merge adjacent equal letters by adding their exponents and drop zero
+    exponents; exponents are not reduced by the letter orders."""
+    stack: list[tuple[str, int]] = []
+    for name, k in raw:
+        if stack and stack[-1][0] == name:
+            k += stack.pop()[1]
+        if k:
+            stack.append((name, k))
+    return tuple(stack)
+
+
 @dataclass(frozen=True)
 class Glt2Word:
     """A word in the letters s, u, j with nonzero integer exponents."""
@@ -131,10 +192,8 @@ class SyllableMatrices:
     def evaluate(self, form: NormalForm) -> Mat2:
         """Exact matrix value of a normal form: one table lookup and one
         product per syllable."""
-        acc = IDENTITY
-        for side, x in form.head:
-            acc = mat_mul(acc, (self.a if side == SIDE_A else self.b)[x])
-        return mat_mul(acc, self.d[form.tail])
+        head = _table_product({SIDE_A: self.a, SIDE_B: self.b}, form.head)
+        return mat_mul(head, self.d[form.tail])
 
 
 @dataclass(frozen=True)
@@ -164,30 +223,30 @@ class DihedralModel:
 def build_dihedral_model() -> DihedralModel:
     """Construct the Z4/Z6/Z2 amalgam, its Z2-inversion lift, and the
     syllable matrix tables of both."""
-    z2, z4, z6 = make_cyclic(2), make_cyclic(4), make_cyclic(6)
+    a_pows, b_pows = (LETTERS[_SIDE_LETTER[side]].powers for side in (SIDE_A, SIDE_B))
+    z2, za, zb = make_cyclic(2), make_cyclic(len(a_pows)), make_cyclic(len(b_pows))
+    # The subgroup is generated by -I, the half-order power on both sides.
     small = make_amalgam(
-        z4,
-        z6,
+        za,
+        zb,
         z2,
-        hom_from_generators(z2, z4, {1: 2}),
-        hom_from_generators(z2, z6, {1: 3}),
+        hom_from_generators(z2, za, {1: len(a_pows) // 2}),
+        hom_from_generators(z2, zb, {1: len(b_pows) // 2}),
     )
-    actor = make_cyclic(2)
+    actor = make_cyclic(len(LETTERS["j"].powers))
     acts = CompatibleActionTriple(
-        inversion_action(actor, z4),
-        inversion_action(actor, z6),
+        inversion_action(actor, za),
+        inversion_action(actor, zb),
         inversion_action(actor, z2),
     )
     big = make_big_amalgam(small, acts)
 
-    s_mat, u_mat, j_mat = standard_generators()
-    s_pows = tuple(mat_pow(s_mat, n) for n in range(4))
-    u_pows = tuple(mat_pow(u_mat, n) for n in range(6))
-    small_mats = SyllableMatrices(s_pows, u_pows, s_pows[::2])
+    d_pows = tuple(a_pows[x] for x in small.iota_a.image)
+    small_mats = SyllableMatrices(a_pows, b_pows, d_pows)
 
     def lifted(sd: SemidirectGroup, base: tuple[Mat2, ...]) -> tuple[Mat2, ...]:
         return tuple(
-            mat_mul(base[n], j_mat) if c else base[n]
+            mat_mul(base[n], _J) if c else base[n]
             for n, c in map(sd.decode, sd.flat.elements())
         )
 
@@ -199,22 +258,14 @@ def build_dihedral_model() -> DihedralModel:
     return DihedralModel(big, small_mats, big_mats)
 
 
-def _eval_letters(word: Glt2Word) -> Mat2:
-    s_mat, u_mat, j_mat = standard_generators()
-    mats = {"s": s_mat, "u": u_mat, "j": j_mat}
-    acc = IDENTITY
-    for letter, k in word.letters:
-        if letter not in mats:
-            raise ValueError(f"unknown letter {letter!r}")
-        acc = mat_mul(acc, mat_pow(mats[letter], k))
-    return acc
-
-
 def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
-    """Exact matrix value of a letter word or a (small or dihedral) form."""
+    """Exact matrix value of a letter word or a (small or dihedral) form.  A
+    letter word is evaluated from generator powers alone, never through the
+    amalgam, so it can check the decomposition."""
     model = build_dihedral_model()
     if isinstance(word, Glt2Word):
-        return _eval_letters(word)
+        letters = {name: _letter(name) for name, _ in word.letters}
+        return _table_product(letters, word.letters)
     if isinstance(word, DihedralAmalgamForm):
         return model.big_mats.evaluate(word.form)
     if isinstance(word, NormalForm):
@@ -229,8 +280,7 @@ def sl2_decompose(m: Mat2) -> NormalForm:
     nonzero, M = T^q * S^-1 * (S * T^-q * M) with q the floor quotient, which
     strictly shrinks |c|.  The terminal +-upper-triangular matrix is a power
     of T = S^-1 U times a central element, and the collected word is folded
-    into the Z4/Z6/Z2 amalgam (a-syllables are powers of S, b-syllables
-    powers of U, the subgroup generator is S^2 = -I).
+    into the Z4/Z6/Z2 amalgam, whose syllables are powers of S and U.
     """
     if mat_det(m) != 1:
         raise ValueError(f"matrix has determinant {mat_det(m)}, expected 1")
@@ -240,23 +290,22 @@ def sl2_decompose(m: Mat2) -> NormalForm:
         q = a // c
         a, b, c, d = -c, -d, a - q * c, b - q * d
         quotients.append(q)
-    # Now [[a, b], [0, d]] with a = d = +-1.  Syllable a:n is S^n and b:n is
-    # U^n, so S^-1 = a:3, S^2 = a:2, U = b:1 and U^-1 = b:5.
+    # Now [[a, b], [0, a]] with a = +-1: that is (-I if a = -1) * T^(a*b).
+    # T = S^-1 U, so T^k is k pairs (S^-1, U) and T^-k is k pairs (U^-1, S).
+    s, u = LETTERS["s"], LETTERS["u"]
+    s_inv = s.syllable(-1)
+    t_step, t_inv_step = (s_inv, u.syllable(1)), (u.syllable(-1), s.syllable(1))
     syls: list[Syllable] = []
 
     def emit_t_power(k: int) -> None:
-        # T = S^-1 U, so T^k is k alternating (S^-1, U) pairs.
-        step = ((SIDE_A, 3), (SIDE_B, 1)) if k > 0 else ((SIDE_B, 5), (SIDE_A, 1))
-        syls.extend(step * abs(k))
+        syls.extend((t_step if k > 0 else t_inv_step) * abs(k))
 
     for q in quotients:
         emit_t_power(q)
-        syls.append((SIDE_A, 3))
-    if a == 1:
-        emit_t_power(b)
-    else:
-        syls.append((SIDE_A, 2))
-        emit_t_power(-b)
+        syls.append(s_inv)
+    if a == -1:
+        syls.append(s.syllable(2))
+    emit_t_power(a * b)
 
     model = build_dihedral_model()
     form = reduce_word(model.big.small, syls)
@@ -271,8 +320,7 @@ def gl2_split(m: Mat2) -> tuple[Mat2, int]:
     if det == 1:
         return m, 0
     if det == -1:
-        _, _, j_mat = standard_generators()
-        return mat_mul(m, j_mat), 1
+        return mat_mul(m, _J), 1
     raise ValueError(f"matrix has determinant {det}, expected +-1")
 
 
@@ -289,62 +337,34 @@ def gl2_decompose(m: Mat2) -> DihedralAmalgamForm:
 
 def word_to_form(word: Glt2Word) -> DihedralAmalgamForm:
     """Reduce a letter word directly into the dihedral amalgam."""
-    model = build_dihedral_model()
-    big = model.big
+    big = build_dihedral_model().big
     syls: list[Syllable] = []
-    for letter, k in word.letters:
-        if letter == "s":
-            k %= 4
-            if k:
-                syls.append((SIDE_A, big.sd_a.encode(k, 0)))
-        elif letter == "u":
-            k %= 6
-            if k:
-                syls.append((SIDE_B, big.sd_b.encode(k, 0)))
-        elif letter == "j":
-            if k % 2:
-                syls.append((SIDE_A, big.sd_a.encode(0, 1)))
-        else:
-            raise ValueError(f"unknown letter {letter!r}")
+    for name, k in word.letters:
+        letter = _letter(name)
+        if letter.side:
+            side, x = letter.syllable(k)
+            syls.append((side, big.side_sd(side).encode(x, 0)))
+        else:  # j generates the actor: (0, 1) on side a
+            syls.append((SIDE_A, big.sd_a.encode(0, k % len(letter.powers))))
     return DihedralAmalgamForm(reduce_word(big.spec, syls))
 
 
-_LETTER_ORDER = {"s": 4, "u": 6, "j": 2}
-
-
-def _fold_mod(raw: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    """Fold adjacent equal letters, reducing exponents by the letter orders."""
-    stack: list[tuple[str, int]] = []
-    for letter, k in raw:
-        k %= _LETTER_ORDER[letter]
-        if not k:
-            continue
-        if stack and stack[-1][0] == letter:
-            k = (stack.pop()[1] + k) % _LETTER_ORDER[letter]
-            if not k:
-                continue
-        stack.append((letter, k))
-    return tuple(stack)
-
-
 def form_to_letters(form: DihedralAmalgamForm) -> Glt2Word:
-    """Render a dihedral form as a letter word, folding adjacent letters."""
+    """Render a dihedral form as a letter word, folding adjacent letters: a
+    syllable (n, c) is its side's letter to the n, then j to the c."""
     big = build_dihedral_model().big
     raw: list[tuple[str, int]] = []
     for side, x in form.form.head:
         n, c = big.side_sd(side).decode(x)
-        raw.append(("s" if side == SIDE_A else "u", n))
+        raw.append((_SIDE_LETTER[side], n))
         if c:
-            raw.append(("j", 1))
+            raw.append(("j", c))
     d, c = big.sd_d.decode(form.form.tail)
-    raw.append(("s", 2 * d))
-    if c:
-        raw.append(("j", 1))
-    return Glt2Word(_fold_mod(raw))
+    raw += [(_SIDE_LETTER[SIDE_A], big.small.iota_a.image[d]), ("j", c)]
+    return Glt2Word(fold_letters(raw))
 
 
 def small_form_to_letters(form: NormalForm) -> Glt2Word:
-    """Render a plain Z4/Z6/Z2 form as a letter word in s and u."""
-    raw = [("s" if side == SIDE_A else "u", x) for side, x in form.head]
-    raw.append(("s", 2 * form.tail))
-    return Glt2Word(_fold_mod(raw))
+    """Render a plain Z4/Z6/Z2 form as a letter word in s and u: its image
+    under nu is a dihedral form with no j."""
+    return form_to_letters(DihedralAmalgamForm(nu(build_dihedral_model().big, form)))

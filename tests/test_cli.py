@@ -405,3 +405,14 @@ def test_repeated_generator_map_entry_is_rejected(capsys):
     assert run(["nf", "--A", "Z4", "--B", "Z6", "--D", "Z2",
                 "--iotaA", "1:3,1:2", "--iotaB", "1:3", "a:1"]) == 2
     assert capsys.readouterr().err == "error: repeated generator map entry '1:2'\n"
+
+
+def test_group_spec_line_after_the_generators_exits_2(monkeypatch, capsys):
+    text = GOOD_GROUP + "\nrow 7: junk\n"
+    with pytest.raises(ValueError, match="group spec line 7: "):
+        parse_group_spec(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(["axioms", "-"]) == 2
+    assert capsys.readouterr().err == (
+        "error: group spec line 7: unexpected line after the generators line\n"
+    )

@@ -96,6 +96,10 @@ CASES = [
     (["sl2", "decompose", "[[1,1],[0,1]]"], None),
     (["sl2", "decompose", "[[5,-3],[-8,5]]"], None),
     (["sl2", "decompose", "--format", "json-lines", "[[0,-1],[1,0]]"], None),
+    # Adjacent equal letters add up; the sum is not taken mod the letter's order.
+    (["gl2", "eval", "--format", "json-lines", "s^3 * s^3 * u^6 * j^2"], None),
+    (["gl2", "eval", "u^1000000000000000001 * s^-1000000000000000001"], None),
+    (NF + ["a:1^3 * b:1^-2 * b:5^3 * a:3^-2"], None),
 ]
 
 

@@ -5,6 +5,11 @@ each check reports first, and so also the order in which the seeded
 samples are drawn.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import amalg.iso as iso
@@ -191,3 +196,24 @@ def test_functor_laws_build_each_catalog_product_once(monkeypatch):
     actor, spaces, homs = inversion_embedding_catalog()
     assert verify_functor_laws(actor, spaces, homs).ok
     assert sorted(calls) == ["Z2", "Z4", "Z6"]
+
+
+MU_ZERO_SCRIPT = """\
+import amalg.iso as iso
+from amalg import build_dihedral_model, verify_exact_sequence
+iso.mu = lambda b, g: 0
+print(verify_exact_sequence(build_dihedral_model().big, 2).records[-1].witness)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_exact_sequence_witness_does_not_follow_str_hashing(hash_seed):
+    # With mu identically 0 every big form is in the kernel, so many forms
+    # are stray; the witness is the first of them in enumeration order.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", MU_ZERO_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "symmetric difference sample: NormalForm(head=(), tail=1)\n"
