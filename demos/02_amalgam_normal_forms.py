@@ -59,4 +59,4 @@ print(f"\n{left} equals the empty word: {word_eq(spec, left, [])}")
 # The forms with head length <= 3: 14 alternating heads times 2 tails.
 forms = enumerate_forms(spec, 3)
 print(f"forms with head length <= 3: {len(forms)}")
-print(f"a sample: {to_word(spec, forms[17]).syllables}")
+print(f"a sample: {to_word(spec, forms[17])}")

@@ -15,7 +15,6 @@ from .amalgam import (
     SIDE_A,
     SIDE_B,
     AmalgamSpec,
-    AmalgamWord,
     NormalForm,
     enumerate_forms,
     identity_form,

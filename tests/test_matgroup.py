@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from amalg import matgroup
 from amalg import (
     IDENTITY,
     SIDE_A,
@@ -250,3 +251,39 @@ def test_sl2_decompose_agrees_with_bfs_oracle(model, bfs6):
 def test_evaluate_word_rejects_unknown_types():
     with pytest.raises(TypeError):
         evaluate_word([("s", 1)])
+
+
+MATRICES = (IDENTITY, S, J, Mat2(2, 3, 1, 2), Mat2(3, 2, 1, 1), Mat2(1, 40, 0, 1))
+
+
+def count_evaluations(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    evaluate = matgroup.SyllableMatrices.evaluate
+
+    def counted(self, form):
+        calls.append(1)
+        return evaluate(self, form)
+
+    monkeypatch.setattr(matgroup.SyllableMatrices, "evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", MATRICES)
+def test_each_decomposition_is_evaluated_once(monkeypatch, m):
+    calls = count_evaluations(monkeypatch)
+    assert evaluate_word(form_to_letters(gl2_decompose(m))) == m
+    assert len(calls) == 1
+    if mat_det(m) == 1:
+        calls.clear()
+        sl2_decompose(m)
+        assert len(calls) == 1
+
+
+def test_a_wrong_decomposition_fails_its_evaluation_check(monkeypatch):
+    wrong = NormalForm(((SIDE_A, 1),), 0)
+    monkeypatch.setattr(matgroup, "phi", lambda big, form, eps: wrong)
+    with pytest.raises(RuntimeError, match="failed its evaluation check"):
+        gl2_decompose(U)
+    monkeypatch.setattr(matgroup, "reduce_word", lambda spec, word: wrong)
+    with pytest.raises(RuntimeError, match="failed its evaluation check"):
+        sl2_decompose(U)
