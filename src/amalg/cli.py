@@ -281,14 +281,9 @@ def parse_group_spec(text: str) -> FiniteGroup:
         raise fail(body[n + 1][0], "unexpected line after the generators line")
 
     mul = tuple(r for r in rows if r is not None)
-    inv = []
-    for x in range(n):
-        found = x  # placeholder so axiom checking can still report the failure
-        for y in range(n):
-            if mul[x][y] == identity and mul[y][x] == identity:
-                found = y
-                break
-        inv.append(found)
+    # In a finite monoid a right inverse is the two-sided one; a row without
+    # the identity gets x itself, so axiom checking can report the failure.
+    inv = [row.index(identity) if identity in row else x for x, row in enumerate(mul)]
     gens = tuple((f"g{i}", g) for i, g in enumerate(gen_idx))
     return FiniteGroup(label, mul, identity, tuple(inv), gens)
 

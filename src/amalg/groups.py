@@ -140,23 +140,6 @@ def make_dihedral(n: int) -> FiniteGroup:
     return FiniteGroup(f"D{n}", tuple(mul), 0, tuple(inv), gens)
 
 
-def _generated_set(g: FiniteGroup) -> set[int]:
-    """Closure of the generators (and their inverses) under the table."""
-    seen = {g.identity}
-    step = [g.identity]
-    gen_idx = [i for _, i in g.generators]
-    while step:
-        nxt = []
-        for x in step:
-            for h in gen_idx:
-                for y in (g.mul[x][h], g.mul[x][g.inv[h]]):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        step = nxt
-    return seen
-
-
 def check_group_axioms(g: FiniteGroup) -> Report:
     """Exhaustively verify associativity, identity, inverses, and generation.
 
@@ -190,8 +173,10 @@ def check_group_axioms(g: FiniteGroup) -> Report:
                 yield f"x = {x}, claimed inverse {y}"
 
     def generation() -> Iterator[str]:
-        reached = _generated_set(g)
-        yield from (f"unreached element {x}" for x in range(n) if x not in reached)
+        # g is a finite group by now, so right multiplication by the
+        # generators alone reaches the subgroup they generate.
+        image, _ = _extend_generator_images(g, g, {i: i for _, i in g.generators})
+        yield from (f"unreached element {x}" for x, v in enumerate(image) if v is None)
 
     records: list[CheckRecord] = []
     for check, witnesses in (
@@ -236,12 +221,16 @@ def identity_hom(g: FiniteGroup) -> GroupHom:
 
 def _extend_generator_images(
     source: FiniteGroup, target: FiniteGroup, gen_images: dict[int, int]
-) -> tuple[list[int] | None, str | None]:
-    """Extend generator images by closure; return (table, None) or (None, why)."""
+) -> tuple[list[int | None], str | None]:
+    """Close generator images under right multiplication by the generators.
+
+    Returns the image table, with None where the generators do not reach, and
+    the first conflict found, or None if there is none.
+    """
     image: list[int | None] = [None] * source.order
     image[source.identity] = target.identity
     if source.identity in gen_images and gen_images[source.identity] != target.identity:
-        return None, f"generator {source.identity} is the identity but maps elsewhere"
+        return image, f"generator {source.identity} is the identity but maps elsewhere"
     frontier = [source.identity]
     while frontier:
         nxt = []
@@ -254,12 +243,9 @@ def _extend_generator_images(
                     image[y] = iy
                     nxt.append(y)
                 elif image[y] != iy:
-                    return None, f"ambiguous image for element {y}"
+                    return image, f"ambiguous image for element {y}"
         frontier = nxt
-    if any(v is None for v in image):
-        missing = image.index(None)
-        return None, f"generators do not reach element {missing}"
-    return [v for v in image if v is not None], None
+    return image, None
 
 
 def hom_from_generators(
@@ -279,12 +265,14 @@ def hom_from_generators(
     for v in gen_images.values():
         if not 0 <= v < target.order:
             raise ValueError(f"image {v} out of range for {target.label}")
-    table, why = _extend_generator_images(source, target, gen_images)
-    if table is None:
+    image, why = _extend_generator_images(source, target, gen_images)
+    if why is None and None in image:
+        why = f"generators do not reach element {image.index(None)}"
+    if why is not None:
         raise ValueError(
             f"not a homomorphism {source.label} -> {target.label}: {why}"
         )
-    return make_hom(source, target, tuple(table))
+    return make_hom(source, target, tuple(image))
 
 
 def hom_compose(f: GroupHom, g: GroupHom) -> GroupHom:
@@ -385,8 +373,8 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> GroupHom | None:
 
     def search(pos: int, chosen: dict[int, int]) -> GroupHom | None:
         if pos == len(gen_idx):
-            table, _ = _extend_generator_images(g, h, chosen)
-            if table is not None and len(set(table)) == g.order:
+            table, why = _extend_generator_images(g, h, chosen)
+            if why is None and None not in table and len(set(table)) == g.order:
                 return make_hom(g, h, tuple(table))
             return None
         for x in candidates[pos]:

@@ -41,7 +41,6 @@ __all__ = [
     "standard_generators",
     "Glt2Word",
     "DihedralAmalgamForm",
-    "SyllableMatrices",
     "DihedralModel",
     "build_dihedral_model",
     "sl2_decompose",
@@ -263,14 +262,13 @@ def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
     """Exact matrix value of a letter word or a (small or dihedral) form.  A
     letter word is evaluated from generator powers alone, never through the
     amalgam, so it can check the decomposition."""
-    model = build_dihedral_model()
     if isinstance(word, Glt2Word):
         letters = {name: _letter(name) for name, _ in word.letters}
         return _table_product(letters, word.letters)
     if isinstance(word, DihedralAmalgamForm):
-        return model.big_mats.evaluate(word.form)
+        return build_dihedral_model().big_mats.evaluate(word.form)
     if isinstance(word, NormalForm):
-        return model.small_mats.evaluate(word)
+        return build_dihedral_model().small_mats.evaluate(word)
     raise TypeError(f"cannot evaluate {type(word).__name__}")
 
 
@@ -278,15 +276,16 @@ def _sl2_form(m: Mat2) -> NormalForm:
     """The normal form of a determinant-1 matrix, unchecked.
 
     Euclidean reduction on the first column: while the lower-left entry is
-    nonzero, M = T^q * S^-1 * (S * T^-q * M) with q the floor quotient, which
-    strictly shrinks |c|.  The terminal +-upper-triangular matrix is a power
-    of T = S^-1 U times a central element, and the collected word is folded
-    into the Z4/Z6/Z2 amalgam, whose syllables are powers of S and U.
+    nonzero, M = T^q * S^-1 * (S * T^-q * M) with q the nearest-integer
+    quotient, which at least halves |c|, so the loop takes logarithmically
+    many steps.  The terminal +-upper-triangular matrix is a power of
+    T = S^-1 U times a central element, and the collected word is folded into
+    the Z4/Z6/Z2 amalgam, whose syllables are powers of S and U.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
     quotients: list[int] = []
     while c != 0:
-        q = a // c
+        q = (2 * a + c) // (2 * c)
         a, b, c, d = -c, -d, a - q * c, b - q * d
         quotients.append(q)
     # Now [[a, b], [0, a]] with a = +-1: that is (-I if a = -1) * T^(a*b).

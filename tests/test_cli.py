@@ -22,7 +22,7 @@ from amalg.cli import (
     render_matrix,
     run,
 )
-from amalg import make_cyclic
+from amalg import check_group_axioms, make_cyclic, make_dihedral
 
 GOOD_GROUP = """\
 group K order 2
@@ -117,6 +117,19 @@ def test_parse_group_spec_round_trip():
     assert g.order == 2
     assert g.mul == ((0, 1), (1, 0))
     assert g.generators == (("g0", 1),)
+
+
+def test_parse_group_spec_reads_two_sided_inverses():
+    # D3 relabelled by x -> 5 - x, so the identity is element 5.
+    d3 = make_dihedral(3)
+    rows = "".join(
+        f"row {5 - x}: " + " ".join(str(5 - d3.mul[x][y]) for y in reversed(range(6))) + "\n"
+        for x in range(6)
+    )
+    g = parse_group_spec(f"group R order 6\nidentity 5\n{rows}generators: 4 2\n")
+    assert check_group_axioms(g).ok
+    for x in g.elements():
+        assert g.mul[x][g.inv[x]] == g.identity == g.mul[g.inv[x]][x]
 
 
 def test_parse_group_spec_errors():
@@ -560,3 +573,12 @@ def test_unipotent_too_long_for_a_list_exits_2(capsys, args):
 def test_options_only_iso_check_reads_are_usage_errors(capsys, args):
     assert run(args) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sl2_decompose_of_a_huge_lower_unipotent_exits_2_at_once():
+    result = subprocess.run(
+        [sys.executable, "-m", "amalg", "sl2", "decompose", "[[1,0],[-10000000000000000000000,1]]"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "more than a list can hold" in result.stderr

@@ -160,6 +160,15 @@ def test_hom_from_generators_rejects_order_mismatch():
         hom_from_generators(z4, z6, {1: 1})
 
 
+def test_hom_from_generators_reports_an_unreached_element():
+    z3 = make_cyclic(3)
+    q = FiniteGroup("Q", z3.mul, z3.identity, z3.inv, ())
+    with pytest.raises(
+        ValueError, match="^not a homomorphism Q -> Z3: generators do not reach element 1$"
+    ):
+        hom_from_generators(q, z3, {})
+
+
 def test_hom_from_generators_requires_exact_generator_keys():
     z4 = make_cyclic(4)
     with pytest.raises(ValueError, match="generator images"):

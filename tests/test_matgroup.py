@@ -13,6 +13,7 @@ from amalg import (
     Glt2Word,
     Mat2,
     NormalForm,
+    build_dihedral_model,
     evaluate_word,
     form_to_letters,
     gl2_decompose,
@@ -246,6 +247,14 @@ def test_sl2_decompose_agrees_with_bfs_oracle(model, bfs6):
             else:
                 syls.append((SIDE_B, exp % 6))
         assert reduce_word(spec, syls) == sl2_decompose(m)
+
+
+def test_evaluating_a_letter_word_does_not_build_the_model():
+    build_dihedral_model.cache_clear()
+    assert evaluate_word(Glt2Word((("s", 1), ("u", -1), ("j", 1)))) == mat_mul(
+        mat_mul(S, mat_inv(U)), J
+    )
+    assert build_dihedral_model.cache_info().currsize == 0
 
 
 def test_evaluate_word_rejects_unknown_types():
