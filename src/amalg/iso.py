@@ -244,7 +244,10 @@ def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
 
 def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:
     """Check that nu is injective, mu is onto C, and image nu = kernel mu,
-    over all big-amalgam forms of head length at most ``bound``."""
+    over all big-amalgam forms of head length at most ``bound`` (ValueError
+    if it is negative)."""
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, got {bound}")
     images = [nu(big, w) for w in enumerate_forms(big.small, bound)]
     image = set(images)
     big_forms = enumerate_forms(big.spec, bound)
@@ -267,7 +270,10 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
 
     Samples are drawn only as a check reads them, and a check stops at its
     first counterexample, so a later check's draws start where it stopped.
+    Negative ``samples`` raise ValueError.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     spec, c_group = big.spec, big.actor
     cs = c_group.elements()
     sd = SmallSemidirect(big)
@@ -282,21 +288,26 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
     def pair() -> tuple[NormalForm, int]:
         return small(), rng.randrange(c_group.order)
 
-    def phi_hom(pairs: Iterable[tuple[Any, Any]]) -> Iterator[str]:
+    def phi_hom(
+        pairs: Iterable[tuple[Any, Any]], phi_of: Callable[[Any], NormalForm]
+    ) -> Iterator[str]:
         for x, y in pairs:
-            if phi(big, *sd.mul(x, y)) != word_mul(spec, phi(big, *x), phi(big, *y)):
+            if phi(big, *sd.mul(x, y)) != word_mul(spec, phi_of(x), phi_of(y)):
                 yield f"x = {x}, y = {y}"
 
-    # Exhaustive hom law on single-syllable pairs.
-    shorts = [(w, c) for w in enumerate_forms(big.small, 1) for c in cs]
+    # Exhaustive hom law on single-syllable pairs, with phi of each short taken once.
+    def phi_hom_shorts() -> Iterator[str]:
+        shorts = [(w, c) for w in enumerate_forms(big.small, 1) for c in cs]
+        phis = {x: phi(big, *x) for x in shorts}
+        yield from phi_hom(((x, y) for x in shorts for y in shorts), phis.__getitem__)
     checks = (
         ("mu-tau-identity", (f"c = {c}" for c in cs if mu(big, tau(big, c)) != c)),
         ("tau-homomorphism", (
             f"(c1, c2) = ({c1}, {c2})" for c1 in cs for c2 in cs
             if word_mul(spec, tau(big, c1), tau(big, c2)) != tau(big, c_group.mul[c1][c2])
         )),
-        ("phi-hom-single-syllable", phi_hom((x, y) for x in shorts for y in shorts)),
-        ("phi-homomorphism", phi_hom(drawn(lambda: (pair(), pair())))),
+        ("phi-hom-single-syllable", phi_hom_shorts()),
+        ("phi-homomorphism", phi_hom(drawn(lambda: (pair(), pair())), lambda x: phi(big, *x))),
         ("phi-inv-after-phi", (
             f"x = {x}" for x in drawn(pair) if phi_inv(big, phi(big, *x)) != x
         )),

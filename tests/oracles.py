@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's reduction machinery.  Equality of
 amalgam words is decided by closing the defining relations with a
-union-find over an explicit word universe, and SL2 matrices are paired
-with letter words by breadth-first search over matrix products.
+union-find over an explicit word universe, SL2 matrices are paired
+with letter words by breadth-first search over matrix products, and the
+group axioms are scanned over every triple of a plain table.
 """
 
 from __future__ import annotations
@@ -135,3 +136,68 @@ def bfs_letter_words(max_len: int) -> dict[Mat2, tuple[tuple[str, int], ...]]:
                     nxt.append((m2, w2))
         frontier = nxt
     return words
+
+
+def group_axiom_records(
+    mul: tuple[tuple[int, ...], ...],
+    identity: int,
+    inv: tuple[int, ...],
+    generators: tuple[int, ...],
+) -> list[tuple[str, bool, str | None]]:
+    """(check, ok, witness) for each group axiom by exhaustive scan, in the
+    order associativity, identity, inverses, generation, stopping after the
+    first that fails.  Each witness is the first counterexample in index
+    order.  Uses plain tables only: nothing from the library.
+    """
+    n = len(mul)
+
+    def associativity() -> str | None:
+        if any(len(row) != n for row in mul):
+            return "table is not square"
+        for v in itertools.chain.from_iterable(mul):
+            if not 0 <= v < n:
+                return f"entry {v} out of range"
+        for x, y, z in itertools.product(range(n), repeat=3):
+            if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                return f"(x, y, z) = ({x}, {y}, {z})"
+        return None
+
+    def identity_law() -> str | None:
+        if not 0 <= identity < n:
+            return f"identity index {identity} out of range"
+        for x in range(n):
+            if mul[identity][x] != x or mul[x][identity] != x:
+                return f"x = {x}"
+        return None
+
+    def inverses() -> str | None:
+        if len(inv) != n:
+            return "inverse table has wrong length"
+        for x, y in enumerate(inv):
+            if not 0 <= y < n or mul[x][y] != identity or mul[y][x] != identity:
+                return f"x = {x}, claimed inverse {y}"
+        return None
+
+    def generation() -> str | None:
+        # The table is a group here, so the subgroup the generators generate
+        # is the closure of the identity under right multiplication by them.
+        reached, frontier = {identity}, [identity]
+        while frontier:
+            frontier = [mul[x][s] for x in frontier for s in generators]
+            frontier = [y for y in dict.fromkeys(frontier) if y not in reached]
+            reached.update(frontier)
+        missing = [x for x in range(n) if x not in reached]
+        return f"unreached element {missing[0]}" if missing else None
+
+    records = []
+    for check, law in (
+        ("associativity", associativity),
+        ("identity", identity_law),
+        ("inverses", inverses),
+        ("generation", generation),
+    ):
+        witness = law()
+        records.append((check, witness is None, witness))
+        if witness is not None:
+            break
+    return records

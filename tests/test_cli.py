@@ -484,6 +484,17 @@ def test_iso_check_integers_are_ascii_digits(capsys, flag, value):
     assert repr(value) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--samples", "-5"), ("--bound", "-3")])
+def test_iso_check_rejects_a_negative_sample_count_or_bound(capsys, flag, value):
+    args = ["iso-check", "--A", "Z4", "--B", "Z6", "--D", "Z2", "--C", "Z2", "--iotaA", "1:2",
+            "--iotaB", "1:3", "--actA", "inv", "--actB", "inv", "--actD", "inv",
+            "--bound", "1", "--samples", "1"]
+    args[args.index(flag) + 1] = value
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {flag[2:]} must be non-negative, got {value}\n")
+
+
 # Inputs shaped like spec lines and generator maps, with integers that may
 # hold what int() accepts beyond the word grammar.
 SPEC_INTEGERS = st.text(alphabet="-+_0123 ²٣", max_size=3)

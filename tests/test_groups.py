@@ -1,6 +1,8 @@
 """Group tables, axiom checking, homomorphisms, and actions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalg import (
     FiniteGroup,
@@ -19,6 +21,8 @@ from amalg import (
     make_hom,
     trivial_action,
 )
+
+from oracles import group_axiom_records
 
 
 def test_cyclic_axioms_through_order_six():
@@ -126,6 +130,86 @@ def test_axiom_checker_reports_nongenerating_set():
     failure = report.first_failure()
     assert failure.check == "generation"
     assert failure.witness == "unreached element 1"
+
+
+def _swapped(g, x, y1, y2):
+    """g's table with the entries (x, y1) and (x, y2) exchanged."""
+    rows = [list(row) for row in g.mul]
+    rows[x][y1], rows[x][y2] = rows[x][y2], rows[x][y1]
+    return tuple(map(tuple, rows))
+
+
+D3 = make_dihedral(3)
+D4 = make_dihedral(4)
+
+
+@pytest.mark.parametrize("group, expected", [
+    # Swapping two entries of rotation 2's row, off both generators, keeps
+    # a Latin square with identity and inverses: only associativity fails.
+    (FiniteGroup("D3swap", _swapped(D3, 2, 4, 5), 0, D3.inv, D3.generators),
+     [("associativity", False, "(x, y, z) = (1, 1, 4)")]),
+    # Z2 with the wrong identity claimed, and inverses that fit it.
+    (FiniteGroup("Z2shift", ((1, 0), (0, 1)), 0, (1, 0), (("g", 0),)),
+     [("associativity", True, None), ("identity", False, "x = 0")]),
+    (FiniteGroup("D4r", D4.mul, 0, D4.inv, (("r", 1),)),
+     [("associativity", True, None), ("identity", True, None), ("inverses", True, None),
+      ("generation", False, "unreached element 4")]),
+])
+def test_axiom_checker_reports_the_full_scan_witness(group, expected):
+    records = check_group_axioms(group).records
+    assert [(r.check, r.ok, r.witness) for r in records] == expected
+
+
+def test_axiom_checker_reads_order_n_squared_cells_per_generator():
+    reads = [0]
+
+    class CountingRow(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+        def __iter__(self):
+            reads[0] += len(self)
+            return tuple.__iter__(self)
+
+    z = make_cyclic(128)
+    g = FiniteGroup(z.label, tuple(map(CountingRow, z.mul)), z.identity, z.inv, z.generators)
+    assert check_group_axioms(g).ok
+    assert reads[0] <= 10 * z.order**2 * len(z.generators)
+
+
+@st.composite
+def damaged_tables(draw):
+    """A relabelled cyclic or dihedral table of order at most 12, with up to
+    two entries overwritten (possibly out of range), perhaps a generator
+    dropped, and perhaps a wrong identity c claimed, with x^-1 c as the
+    inverse of x."""
+    base = draw(st.one_of(st.integers(1, 12).map(make_cyclic),
+                          st.integers(1, 6).map(make_dihedral)))
+    n = base.order
+    c = draw(st.one_of(st.just(base.identity), st.integers(0, n - 1)))
+    perm = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[perm[x]][perm[y]] = perm[base.mul[x][y]]
+    for _ in range(draw(st.integers(0, 2))):
+        x, y, v = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n)))
+        rows[x][y] = v
+    inv = [0] * n
+    for x in range(n):
+        inv[perm[x]] = perm[base.mul[base.inv[x]][c]]
+    gens = tuple((name, perm[i]) for name, i in base.generators)
+    if gens and draw(st.booleans()):
+        gens = gens[:-1]
+    return FiniteGroup(base.label, tuple(map(tuple, rows)), perm[c], tuple(inv), gens)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(damaged_tables())
+def test_axiom_checker_agrees_with_the_full_scan_oracle(g):
+    expected = group_axiom_records(g.mul, g.identity, g.inv, tuple(i for _, i in g.generators))
+    assert [(r.check, r.ok, r.witness) for r in check_group_axioms(g).records] == expected
 
 
 def test_make_hom_accepts_reduction_mod_two():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import amalg.iso as iso
 from amalg import (
     SIDE_A,
     SIDE_B,
@@ -227,3 +228,30 @@ def test_trivial_actor_gives_an_isomorphic_copy(small_spec):
     for w in enumerate_forms(small_spec, 2):
         assert mu(big, nu(big, w)) == 0
         assert phi(big, w, 0) == nu(big, w)
+
+
+def test_verify_split_rejects_a_negative_sample_count(big):
+    assert verify_split(big, 0, 0).ok
+    with pytest.raises(ValueError, match="^samples must be non-negative, got -5$"):
+        verify_split(big, -5, 0)
+
+
+def test_verify_exact_sequence_rejects_a_negative_bound(big):
+    assert verify_exact_sequence(big, 0).ok
+    with pytest.raises(ValueError, match="^bound must be non-negative, got -3$"):
+        verify_exact_sequence(big, -3)
+
+
+def test_single_syllable_hom_check_evaluates_phi_once_per_short(big, monkeypatch):
+    calls = []
+    phi = iso.phi
+
+    def counting_phi(b, form, c):
+        calls.append((form, c))
+        return phi(b, form, c)
+
+    monkeypatch.setattr(iso, "phi", counting_phi)
+    # 16 shorts on the flagship: phi of each once, then of each of the 256
+    # products; nothing else evaluates phi when no samples are drawn.
+    assert verify_split(big, 0, 0).ok
+    assert len(calls) == 16 + 16 * 16
