@@ -284,8 +284,7 @@ def parse_group_spec(text: str) -> FiniteGroup:
     # In a finite monoid a right inverse is the two-sided one; a row without
     # the identity gets x itself, so axiom checking can report the failure.
     inv = [row.index(identity) if identity in row else x for x, row in enumerate(mul)]
-    gens = tuple((f"g{i}", g) for i, g in enumerate(gen_idx))
-    return FiniteGroup(label, mul, identity, tuple(inv), gens)
+    return FiniteGroup(label, mul, identity, tuple(inv), tuple(gen_idx))
 
 
 def parse_action_spec(text: str, actor: FiniteGroup, space: FiniteGroup) -> GroupAction:

@@ -9,6 +9,7 @@ exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .reporting import CheckRecord, Report, first_witness
@@ -38,16 +39,15 @@ __all__ = [
 class FiniteGroup:
     """A finite group: label, multiplication table, identity, inverses, generators.
 
-    ``mul[x][y]`` is the product xy.  ``generators`` is a tuple of
-    (name, element index) pairs whose closure under the table is the whole
-    element set.
+    ``mul[x][y]`` is the product xy.  ``generators`` is a tuple of element
+    indices whose closure under the table is the whole element set.
     """
 
     label: str
     mul: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
-    generators: tuple[tuple[str, int], ...]
+    generators: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -104,8 +104,7 @@ def make_cyclic(n: int) -> FiniteGroup:
         raise ValueError(f"cyclic group order must be positive, got {n}")
     mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     inv = tuple((-i) % n for i in range(n))
-    gens = (("g", 1),) if n > 1 else ()
-    return FiniteGroup(f"Z{n}", mul, 0, inv, gens)
+    return FiniteGroup(f"Z{n}", mul, 0, inv, (1,) if n > 1 else ())
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -136,31 +135,35 @@ def make_dihedral(n: int) -> FiniteGroup:
     for x in range(order):
         i, s = dec(x)
         inv.append(enc(i, s) if s else enc(-i, 0))
-    gens = (("r", 1), ("f", n)) if n >= 2 else (("f", 1),)
-    return FiniteGroup(f"D{n}", tuple(mul), 0, tuple(inv), gens)
+    return FiniteGroup(f"D{n}", tuple(mul), 0, tuple(inv), (1, n) if n >= 2 else (1,))
 
 
 def check_group_axioms(g: FiniteGroup) -> Report:
     """Verify associativity, identity, inverses, and generation.
 
-    Associativity is proved on the generators by Light's test: the elements
-    s with (x s) y = x (s y) for all x, y form a submagma containing the
-    identity, so when they include the generators, and right products of
-    generators reach every element, the table is associative.  Only when
-    that fails are the axioms scanned exhaustively, in turn, stopping at the
-    first violated one to report its first witness.
+    The axioms are read in turn, stopping at the first violated one to report
+    its first witness.  Associativity is proved on the generators by Light's
+    test: the elements s with (x s) y = x (s y) for all x, y form a submagma
+    containing the identity, so when they include the generators, and right
+    products of generators reach every element, the table is associative.
+    Only when that fails is associativity scanned exhaustively.
     """
-    n, mul, e = g.order, g.mul, g.identity
-    gens = [s for _, s in g.generators]
+    n, mul, e, gens = g.order, g.mul, g.identity, g.generators
     # Each stream is read only up to its first witness, so a later loop may
-    # assume that the loops before it found nothing.  The fast path below reads
-    # identity, inverses and generation only once the table is square and in
-    # range, which is all that they assume.
+    # assume that the loops before it found nothing.
 
     def associativity() -> Iterator[str]:
         if any(len(row) != n for row in mul):
             yield "table is not square"
         yield from (f"entry {v} out of range" for row in mul for v in row if not 0 <= v < n)
+        # Light's test, on a square table in range, needs the identity and generation.
+        if (
+            next(identity(), None) is None
+            and next(generation(), None) is None
+            and all(list(mul[row_x[s]]) == [row_x[v] for v in mul[s]]
+                    for s in gens for row_x in mul)
+        ):
+            return
         for x, row_x in enumerate(mul):
             for y, row_y in enumerate(mul):
                 row_xy = mul[row_x[y]]
@@ -181,29 +184,19 @@ def check_group_axioms(g: FiniteGroup) -> Report:
                 yield f"x = {x}, claimed inverse {y}"
 
     def generation() -> Iterator[str]:
+        yield from (f"generator index {s} out of range" for s in gens if not 0 <= s < n)
         # Right products of the generators: what Light's test needs, and in
         # the scan, where g is a finite group by now, their subgroup.
         image, _ = _extend_generator_images(g, g, {s: s for s in gens})
         yield from (f"unreached element {x}" for x, v in enumerate(image) if v is None)
 
-    streams = (
+    records: list[CheckRecord] = []
+    for check, witnesses in (
         ("associativity", associativity),
         ("identity", identity),
         ("inverses", inverses),
         ("generation", generation),
-    )
-    if (
-        all(len(row) == n and 0 <= min(row) and max(row) < n for row in mul)
-        and next(identity(), None) is None
-        and next(inverses(), None) is None
-        and all(0 <= s < n for s in gens)
-        and next(generation(), None) is None
-        and all(list(mul[row_x[s]]) == [row_x[v] for v in mul[s]]
-                for s in gens for row_x in mul)
     ):
-        return Report(tuple(CheckRecord(check, g.label, True) for check, _ in streams))
-    records: list[CheckRecord] = []
-    for check, witnesses in streams:
         records.append(first_witness(check, g.label, witnesses()))
         if not records[-1].ok:
             break
@@ -275,7 +268,7 @@ def hom_from_generators(
     ``gen_images`` maps each generator's element index to a target element
     index.  Raises ValueError if the assignment does not extend.
     """
-    gen_idx = {i for _, i in source.generators}
+    gen_idx = set(source.generators)
     if set(gen_images) != gen_idx:
         raise ValueError(
             f"generator images must be given for exactly {sorted(gen_idx)}, "
@@ -382,26 +375,14 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> GroupHom | None:
     """Exhaustive generator-image search for an isomorphism g -> h, or None."""
     if g.order != h.order:
         return None
-    gen_idx = [i for _, i in g.generators]
-    if not gen_idx:
+    if not g.generators:
         return identity_hom(g) if g == h else make_hom(g, h, (h.identity,))
-    candidates = []
-    for i in gen_idx:
-        k = element_order(g, i)
-        candidates.append([x for x in h.elements() if element_order(h, x) == k])
-
-    def search(pos: int, chosen: dict[int, int]) -> GroupHom | None:
-        if pos == len(gen_idx):
-            table, why = _extend_generator_images(g, h, chosen)
-            if why is None and None not in table and len(set(table)) == g.order:
-                return make_hom(g, h, tuple(table))
-            return None
-        for x in candidates[pos]:
-            chosen[gen_idx[pos]] = x
-            found = search(pos + 1, chosen)
-            if found is not None:
-                return found
-        chosen.pop(gen_idx[pos], None)
-        return None
-
-    return search(0, {})
+    candidates = [
+        [x for x in h.elements() if element_order(h, x) == element_order(g, s)]
+        for s in g.generators
+    ]
+    for images in product(*candidates):
+        table, why = _extend_generator_images(g, h, dict(zip(g.generators, images)))
+        if why is None and None not in table and len(set(table)) == g.order:
+            return make_hom(g, h, tuple(table))
+    return None

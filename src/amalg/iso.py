@@ -4,8 +4,9 @@ Given compatible actions of C on A, B, and D (compatible meaning the
 embeddings intertwine them), C acts on A *_D B syllable-wise, so the
 semidirect product (A *_D B) x| C makes sense.  On the other side, the lifted
 embeddings (d, c) -> (iota(d), c) exhibit a second amalgam
-(A x| C) *_(D x| C) (B x| C).  This module builds both and the mutually
-inverse maps between them:
+(A x| C) *_(D x| C) (B x| C).  This module builds both (make_big_amalgam
+checks compatibility once, and BigAmalgam.act is the induced action) and the
+mutually inverse maps between them:
 
   nu   embeds the plain amalgam into the big one (syllables pick up a
        trivial C-component),
@@ -45,8 +46,6 @@ from .reporting import Report, first_witness
 
 __all__ = [
     "CompatibleActionTriple",
-    "AmalgamAction",
-    "induce_action_on_amalgam",
     "BigAmalgam",
     "make_big_amalgam",
     "SmallSemidirect",
@@ -98,28 +97,12 @@ def _require_compatible(spec: AmalgamSpec, acts: CompatibleActionTriple) -> None
 
 
 @dataclass(frozen=True)
-class AmalgamAction:
-    """The syllable-wise action of C on normal forms, re-reduced."""
-
-    spec: AmalgamSpec
-    acts: CompatibleActionTriple
-
-    def apply(self, c: int, form: NormalForm) -> NormalForm:
-        table = {SIDE_A: self.acts.act_a.table[c], SIDE_B: self.acts.act_b.table[c]}
-        return reduce_word(self.spec, [(s, table[s][x]) for s, x in to_word(self.spec, form)])
-
-
-def induce_action_on_amalgam(
-    spec: AmalgamSpec, acts: CompatibleActionTriple
-) -> AmalgamAction:
-    """Validate compatibility and return the induced action on normal forms."""
-    _require_compatible(spec, acts)
-    return AmalgamAction(spec, acts)
-
-
-@dataclass(frozen=True)
 class BigAmalgam:
-    """The amalgam of the three semidirect products, plus its ingredients."""
+    """The amalgam of the three semidirect products, plus its ingredients.
+
+    ``make_big_amalgam`` builds it once ``acts`` is checked compatible with
+    ``small``, which ``act`` relies on.
+    """
 
     small: AmalgamSpec
     acts: CompatibleActionTriple
@@ -127,11 +110,15 @@ class BigAmalgam:
     sd_b: SemidirectGroup
     sd_d: SemidirectGroup
     spec: AmalgamSpec
-    action: AmalgamAction
 
     @property
     def actor(self) -> FiniteGroup:
         return self.acts.actor
+
+    def act(self, c: int, form: NormalForm) -> NormalForm:
+        """The induced action of C on the small amalgam: syllable-wise, re-reduced."""
+        table = {SIDE_A: self.acts.act_a.table[c], SIDE_B: self.acts.act_b.table[c]}
+        return reduce_word(self.small, [(s, table[s][x]) for s, x in to_word(self.small, form)])
 
     def side_sd(self, side: str) -> SemidirectGroup:
         return self.sd_a if side == SIDE_A else self.sd_b
@@ -144,7 +131,7 @@ def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmal
     (d, c) -> (iota(d), c) are then checked once, by ``make_amalgam``, as
     injective homomorphisms of the flat semidirect tables.
     """
-    action = induce_action_on_amalgam(spec, acts)
+    _require_compatible(spec, acts)
     c_group = acts.actor
     sd_a = semidirect(spec.a, c_group, acts.act_a)
     sd_b = semidirect(spec.b, c_group, acts.act_b)
@@ -156,7 +143,7 @@ def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmal
         for sd, iota in ((sd_a, spec.iota_a), (sd_b, spec.iota_b))
     )
     big_spec = make_amalgam(sd_a.flat, sd_b.flat, sd_d.flat, lift_a, lift_b)
-    return BigAmalgam(spec, acts, sd_a, sd_b, sd_d, big_spec, action)
+    return BigAmalgam(spec, acts, sd_a, sd_b, sd_d, big_spec)
 
 
 class SmallSemidirect:
@@ -166,7 +153,6 @@ class SmallSemidirect:
         self.big = big
         self.spec = big.small
         self.actor = big.actor
-        self.action = big.action
 
     def identity(self) -> tuple[NormalForm, int]:
         return identity_form(self.spec), self.actor.identity
@@ -176,14 +162,14 @@ class SmallSemidirect:
     ) -> tuple[NormalForm, int]:
         (w1, c1), (w2, c2) = x, y
         return (
-            word_mul(self.spec, w1, self.action.apply(c1, w2)),
+            word_mul(self.spec, w1, self.big.act(c1, w2)),
             self.actor.mul[c1][c2],
         )
 
     def inv(self, x: tuple[NormalForm, int]) -> tuple[NormalForm, int]:
         w, c = x
         ci = self.actor.inv[c]
-        return self.action.apply(ci, word_inv(self.spec, w)), ci
+        return self.big.act(ci, word_inv(self.spec, w)), ci
 
 
 def nu(big: BigAmalgam, form: NormalForm) -> NormalForm:
@@ -199,8 +185,8 @@ def mu(big: BigAmalgam, form: NormalForm) -> int:
     c_group = big.actor
     acc = c_group.identity
     for s, x in form.head:
-        acc = c_group.mul[acc][big.side_sd(s).decode(x).c]
-    return c_group.mul[acc][big.sd_d.decode(form.tail).c]
+        acc = c_group.mul[acc][big.side_sd(s).decode(x)[1]]
+    return c_group.mul[acc][big.sd_d.decode(form.tail)[1]]
 
 
 def tau(big: BigAmalgam, c: int) -> NormalForm:

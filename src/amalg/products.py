@@ -1,17 +1,17 @@
 """Semidirect products N x| C as flat multiplication-table groups.
 
-The pair (n, c) is stored at flat index n * |C| + c and multiplies by
-(n1, c1)(n2, c2) = (n1 * act(c1)(n2), c1 c2).  Each product table passes
-the group axiom check when built, and the functor that sends an equivariant
-hom psi to psi x id checks equivariance and the hom law of each lift.  The
-split maps (base embedding, actor projection, actor section) are correct by
-construction.
+The pair (n, c) is stored at flat index n * |C| + c, decodes as the plain pair
+divmod(i, |C|), and multiplies by (n1, c1)(n2, c2) = (n1 * act(c1)(n2), c1 c2).
+Each product table passes the group axiom check when built, and the functor
+that sends an equivariant hom psi to psi x id checks equivariance and the hom
+law of each lift.  The split maps (base embedding, actor projection, actor
+section) are correct by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .groups import (
     FiniteGroup,
@@ -28,7 +28,6 @@ from .groups import (
 from .reporting import CheckRecord, Report, first_witness
 
 __all__ = [
-    "SemidirectElement",
     "SemidirectGroup",
     "semidirect",
     "split_maps",
@@ -36,11 +35,6 @@ __all__ = [
     "verify_functor_laws",
     "inversion_embedding_catalog",
 ]
-
-
-class SemidirectElement(NamedTuple):
-    n: int
-    c: int
 
 
 @dataclass(frozen=True)
@@ -57,9 +51,8 @@ class SemidirectGroup:
             raise ValueError(f"pair ({n}, {c}) out of range for {self.flat.label}")
         return n * self.actor.order + c
 
-    def decode(self, i: int) -> SemidirectElement:
-        n, c = divmod(i, self.actor.order)
-        return SemidirectElement(n, c)
+    def decode(self, i: int) -> tuple[int, int]:
+        return divmod(i, self.actor.order)
 
 
 def semidirect(space: FiniteGroup, actor: FiniteGroup, action: GroupAction) -> SemidirectGroup:
@@ -90,17 +83,9 @@ def semidirect(space: FiniteGroup, actor: FiniteGroup, action: GroupAction) -> S
         inv.append(act[ci][space.inv[n]] * cc + ci)
     identity = space.identity * cc + actor.identity
 
-    gens = [(name, idx * cc + actor.identity) for name, idx in space.generators]
-    used = {name for name, _ in gens}
-    for name, idx in actor.generators:
-        while name in used:
-            name += "'"
-        used.add(name)
-        gens.append((name, space.identity * cc + idx))
-
-    flat = FiniteGroup(
-        f"{space.label}:{actor.label}", tuple(mul), identity, tuple(inv), tuple(gens)
-    )
+    gens = tuple(n * cc + actor.identity for n in space.generators)
+    gens += tuple(space.identity * cc + c for c in actor.generators)
+    flat = FiniteGroup(f"{space.label}:{actor.label}", tuple(mul), identity, tuple(inv), gens)
     report = check_group_axioms(flat)
     if not report.ok:
         bad = report.first_failure()

@@ -179,6 +179,9 @@ def group_axiom_records(
         return None
 
     def generation() -> str | None:
+        for s in generators:
+            if not 0 <= s < n:
+                return f"generator index {s} out of range"
         # The table is a group here, so the subgroup the generators generate
         # is the closure of the identity under right multiplication by them.
         reached, frontier = {identity}, [identity]

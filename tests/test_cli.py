@@ -116,7 +116,7 @@ def test_parse_group_spec_round_trip():
     assert g.label == "K"
     assert g.order == 2
     assert g.mul == ((0, 1), (1, 0))
-    assert g.generators == (("g0", 1),)
+    assert g.generators == (1,)
 
 
 def test_parse_group_spec_reads_two_sided_inverses():
@@ -139,6 +139,35 @@ def test_parse_group_spec_errors():
         parse_group_spec("group K order 2\nidentity 0\nrow 0: 0 5\nrow 1: 1 0\ngenerators: 1")
     with pytest.raises(ValueError, match="generators"):
         parse_group_spec("group K order 1\nidentity 0\nrow 0: 0\nnope: 0")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("group K order 0\n", "group spec line 1: order must be positive"),
+    ("group K order 2\n", "group spec: missing 'identity' line"),
+    ("group K order 2\nidentity 9\n", "group spec line 2: identity index 9 out of range"),
+    (GOOD_GROUP.replace("row 1:", "foo 1:"), "group spec line 4: expected 'row <i>: ...'"),
+    (GOOD_GROUP.replace("row 1:", "row 0:"), "group spec line 4: bad or repeated row index 0"),
+    (GOOD_GROUP.replace("generators: 1", "generators: 2"),
+     "group spec line 5: generator index out of range"),
+])
+def test_parse_group_spec_error_lines(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_group_spec(text)
+    assert str(err.value) == message
+
+
+def test_parse_action_spec_rejects_a_repeated_actor_row():
+    z2 = make_cyclic(2)
+    with pytest.raises(ValueError) as err:
+        parse_action_spec("action Z2 on Z2\nc 1: 0 1\nc 1: 0 1\n", z2, z2)
+    assert str(err.value) == "action spec line 3: bad or repeated actor index 1"
+
+
+def test_parse_matrix_rejects_trailing_input():
+    with pytest.raises(ParseError) as err:
+        parse_matrix("[[1,0],[0,1]] x")
+    assert err.value.offset == 14
+    assert str(err.value) == "parse error at offset 14: unexpected trailing input 'x'"
 
 
 def test_parse_action_spec_verifies_the_action():

@@ -19,6 +19,7 @@ from amalg import (
     make_cyclic,
     make_dihedral,
     make_hom,
+    semidirect,
     trivial_action,
 )
 
@@ -124,12 +125,24 @@ def test_axiom_checker_reports_broken_inverses():
 
 def test_axiom_checker_reports_nongenerating_set():
     z4 = make_cyclic(4)
-    bad = FiniteGroup("Z4sub", z4.mul, 0, z4.inv, (("g", 2),))
+    bad = FiniteGroup("Z4sub", z4.mul, 0, z4.inv, (2,))
     report = check_group_axioms(bad)
     assert not report.ok
     failure = report.first_failure()
     assert failure.check == "generation"
     assert failure.witness == "unreached element 1"
+
+
+@pytest.mark.parametrize("s", [-1, 7])
+def test_axiom_checker_reports_an_out_of_range_generator(s):
+    z3 = make_cyclic(3)
+    records = check_group_axioms(FiniteGroup("Z3", z3.mul, 0, z3.inv, (s,))).records
+    assert [(r.check, r.ok, r.witness) for r in records] == [
+        ("associativity", True, None),
+        ("identity", True, None),
+        ("inverses", True, None),
+        ("generation", False, f"generator index {s} out of range"),
+    ]
 
 
 def _swapped(g, x, y1, y2):
@@ -149,9 +162,9 @@ D4 = make_dihedral(4)
     (FiniteGroup("D3swap", _swapped(D3, 2, 4, 5), 0, D3.inv, D3.generators),
      [("associativity", False, "(x, y, z) = (1, 1, 4)")]),
     # Z2 with the wrong identity claimed, and inverses that fit it.
-    (FiniteGroup("Z2shift", ((1, 0), (0, 1)), 0, (1, 0), (("g", 0),)),
+    (FiniteGroup("Z2shift", ((1, 0), (0, 1)), 0, (1, 0), (0,)),
      [("associativity", True, None), ("identity", False, "x = 0")]),
-    (FiniteGroup("D4r", D4.mul, 0, D4.inv, (("r", 1),)),
+    (FiniteGroup("D4r", D4.mul, 0, D4.inv, (1,)),
      [("associativity", True, None), ("identity", True, None), ("inverses", True, None),
       ("generation", False, "unreached element 4")]),
 ])
@@ -182,8 +195,8 @@ def test_axiom_checker_reads_order_n_squared_cells_per_generator():
 def damaged_tables(draw):
     """A relabelled cyclic or dihedral table of order at most 12, with up to
     two entries overwritten (possibly out of range), perhaps a generator
-    dropped, and perhaps a wrong identity c claimed, with x^-1 c as the
-    inverse of x."""
+    dropped or an out-of-range index (-1 or n) added, and perhaps a wrong
+    identity c claimed, with x^-1 c as the inverse of x."""
     base = draw(st.one_of(st.integers(1, 12).map(make_cyclic),
                           st.integers(1, 6).map(make_dihedral)))
     n = base.order
@@ -199,16 +212,18 @@ def damaged_tables(draw):
     inv = [0] * n
     for x in range(n):
         inv[perm[x]] = perm[base.mul[base.inv[x]][c]]
-    gens = tuple((name, perm[i]) for name, i in base.generators)
+    gens = tuple(perm[i] for i in base.generators)
     if gens and draw(st.booleans()):
         gens = gens[:-1]
+    if draw(st.integers(0, 3)) == 0:
+        gens += (draw(st.sampled_from((-1, n))),)
     return FiniteGroup(base.label, tuple(map(tuple, rows)), perm[c], tuple(inv), gens)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(damaged_tables())
 def test_axiom_checker_agrees_with_the_full_scan_oracle(g):
-    expected = group_axiom_records(g.mul, g.identity, g.inv, tuple(i for _, i in g.generators))
+    expected = group_axiom_records(g.mul, g.identity, g.inv, g.generators)
     assert [(r.check, r.ok, r.witness) for r in check_group_axioms(g).records] == expected
 
 
@@ -223,6 +238,16 @@ def test_make_hom_rejects_non_homomorphism_with_witness():
     z4, z2 = make_cyclic(4), make_cyclic(2)
     with pytest.raises(ValueError, match="witness pair"):
         make_hom(z4, z2, (0, 1, 1, 0))
+
+
+@pytest.mark.parametrize("image, message", [
+    ((0, 1, 0), "image table has length 3, expected 4"),
+    ((0, 1, 0, 5), "image entry 5 out of range for Z2"),
+])
+def test_make_hom_rejects_a_malformed_image_table(image, message):
+    with pytest.raises(ValueError) as err:
+        make_hom(make_cyclic(4), make_cyclic(2), image)
+    assert str(err.value) == message
 
 
 def test_make_hom_rejects_identity_mismatch():
@@ -251,6 +276,13 @@ def test_hom_from_generators_reports_an_unreached_element():
         ValueError, match="^not a homomorphism Q -> Z3: generators do not reach element 1$"
     ):
         hom_from_generators(q, z3, {})
+
+
+def test_hom_from_generators_rejects_an_image_out_of_range():
+    z4 = make_cyclic(4)
+    with pytest.raises(ValueError) as err:
+        hom_from_generators(z4, z4, {1: 9})
+    assert str(err.value) == "image 9 out of range for Z4"
 
 
 def test_hom_from_generators_requires_exact_generator_keys():
@@ -302,6 +334,19 @@ def test_make_action_rejects_non_automorphism_row():
         make_action(z2, z4, ((0, 1, 2, 3), (1, 0, 2, 3)))
 
 
+@pytest.mark.parametrize("actor, table, message", [
+    (make_cyclic(2), ((0, 1, 2, 3),), "action table has 1 rows, expected 2"),
+    (make_cyclic(2), ((0, 1, 2, 3), (0, 1, 1, 3)),
+     "action invariant violation: row 1 is not a permutation"),
+    (make_cyclic(3), ((0, 1, 2, 3), (0, 3, 2, 1), (0, 3, 2, 1)),
+     "action invariant violation: rows do not compose, witness (c1, c2, x) = (1, 1, 1)"),
+])
+def test_make_action_rejects_a_malformed_table(actor, table, message):
+    with pytest.raises(ValueError) as err:
+        make_action(actor, make_cyclic(4), table)
+    assert str(err.value) == message
+
+
 def test_make_action_rejects_nontrivial_identity_row():
     z2, z4 = make_cyclic(2), make_cyclic(4)
     with pytest.raises(ValueError, match="action invariant violation"):
@@ -321,6 +366,13 @@ def test_find_isomorphism_distinguishes_z4_from_klein_four():
 
 def test_find_isomorphism_rejects_different_orders():
     assert find_isomorphism(make_cyclic(4), make_cyclic(6)) is None
+
+
+def test_find_isomorphism_returns_the_first_match_in_generator_order():
+    # Demo 01's search: Z4:Z2 with the inversion action onto D4.
+    z4, z2 = make_cyclic(4), make_cyclic(2)
+    sd = semidirect(z4, z2, inversion_action(z2, z4))
+    assert find_isomorphism(sd.flat, make_dihedral(4)).image == (0, 4, 1, 5, 2, 6, 3, 7)
 
 
 def test_find_isomorphism_finds_cyclic_automorphism():

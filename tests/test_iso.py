@@ -15,7 +15,6 @@ from amalg import (
     enumerate_forms,
     identity_form,
     identity_hom,
-    induce_action_on_amalgam,
     inversion_action,
     make_amalgam,
     make_big_amalgam,
@@ -44,8 +43,8 @@ def inversion_triple(spec):
 
 
 def test_compatibility_accepts_the_inversion_triple(small_spec):
-    action = induce_action_on_amalgam(small_spec, inversion_triple(small_spec))
-    assert action.spec == small_spec
+    big = make_big_amalgam(small_spec, inversion_triple(small_spec))
+    assert big.small == small_spec
 
 
 def test_compatibility_rejects_mismatched_subgroup_action():
@@ -58,7 +57,7 @@ def test_compatibility_rejects_mismatched_subgroup_action():
         trivial_action(c2, z4),
     )
     with pytest.raises(ValueError, match=r"compatibility violation.*\(c, d\) = \(1, 1\)"):
-        induce_action_on_amalgam(spec, acts)
+        make_big_amalgam(spec, acts)
 
 
 def test_compatibility_rejects_mixed_actors(small_spec):
@@ -69,31 +68,42 @@ def test_compatibility_rejects_mixed_actors(small_spec):
         trivial_action(c3, small_spec.d),
     )
     with pytest.raises(ValueError, match="different actors"):
-        induce_action_on_amalgam(small_spec, acts)
+        make_big_amalgam(small_spec, acts)
+
+
+def test_compatibility_rejects_actions_on_other_groups(small_spec):
+    # The side actions swapped: each acts on the other factor.
+    c2 = make_cyclic(2)
+    acts = CompatibleActionTriple(
+        inversion_action(c2, small_spec.b),
+        inversion_action(c2, small_spec.a),
+        inversion_action(c2, small_spec.d),
+    )
+    with pytest.raises(ValueError) as err:
+        make_big_amalgam(small_spec, acts)
+    assert str(err.value) == "compatibility violation: actions do not match the amalgam"
 
 
 def test_induced_action_satisfies_the_action_laws(big):
-    action = big.action
     actor = big.actor
     forms = enumerate_forms(big.small, 3)
     for w in forms:
-        assert action.apply(actor.identity, w) == w
+        assert big.act(actor.identity, w) == w
         for c1 in actor.elements():
             for c2 in actor.elements():
-                composed = action.apply(c1, action.apply(c2, w))
-                assert composed == action.apply(actor.mul[c1][c2], w)
+                composed = big.act(c1, big.act(c2, w))
+                assert composed == big.act(actor.mul[c1][c2], w)
 
 
 def test_induced_action_acts_by_automorphisms(big):
     rng = random.Random(11)
-    action = big.action
     for _ in range(200):
         u = random_form(rng, big.small, 4)
         v = random_form(rng, big.small, 4)
         for c in big.actor.elements():
-            lhs = action.apply(c, word_mul(big.small, u, v))
+            lhs = big.act(c, word_mul(big.small, u, v))
             rhs = word_mul(
-                big.small, action.apply(c, u), action.apply(c, v)
+                big.small, big.act(c, u), big.act(c, v)
             )
             assert lhs == rhs
 
@@ -169,7 +179,7 @@ def test_conjugation_by_tau_realizes_the_action(big):
                 word_mul(big.spec, tau(big, c), nu(big, w)),
                 word_inv(big.spec, tau(big, c)),
             )
-            assert conj == nu(big, big.action.apply(c, w))
+            assert conj == nu(big, big.act(c, w))
 
 
 def test_small_semidirect_group_laws(big):
