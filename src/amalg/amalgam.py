@@ -24,8 +24,7 @@ table lookups and reduction is linear in the word length.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .groups import FiniteGroup, GroupHom, is_injective, make_hom
 
@@ -52,8 +51,7 @@ SIDE_B = "b"
 Syllable = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Canonical form: alternating non-identity representatives, then a
     trailing element of the amalgamated subgroup."""
 
@@ -61,8 +59,7 @@ class NormalForm:
     tail: int
 
 
-@dataclass(frozen=True)
-class AmalgamSpec:
+class AmalgamSpec(NamedTuple):
     """The two factor groups, the embedded subgroup, and the coset data.
 
     ``trans_a`` lists the chosen representatives (identity first), and

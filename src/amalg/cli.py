@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, Collection
@@ -363,9 +364,10 @@ def load_action(arg: str, actor: FiniteGroup, space: FiniteGroup) -> GroupAction
 
 
 def parse_gen_map(arg: str) -> dict[int, int]:
-    """Parse a generator-image map like '1:2' or '1:2,3:4'."""
+    """Parse a generator-image map like '1:2' or '1:2,3:4'; a blank one is
+    empty, as for Z1, which has no generators."""
     out: dict[int, int] = {}
-    for piece in arg.split(","):
+    for piece in arg.split(",") if arg.strip() else ():
         left, sep, right = piece.partition(":")
         if not sep:
             raise ValueError(f"bad generator map entry {piece!r}, expected 'i:j'")
@@ -568,4 +570,12 @@ def main(argv: list[str] | None = None) -> None:
     # Arithmetic is exact, so read and print integers of any length (3.11+ limit).
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    sys.exit(run(argv))
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: exit as a process killed by SIGPIPE, with
+        # stdout on devnull so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

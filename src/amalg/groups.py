@@ -8,9 +8,8 @@ exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .reporting import CheckRecord, Report, first_witness
 
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(NamedTuple):
     """A finite group: label, multiplication table, identity, inverses, generators.
 
     ``mul[x][y]`` is the product xy.  ``generators`` is a tuple of element
@@ -70,8 +68,7 @@ class FiniteGroup:
         return acc
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(NamedTuple):
     """A homomorphism given by its full image table: image[x] in the target."""
 
     source: FiniteGroup
@@ -82,8 +79,7 @@ class GroupHom:
         return self.image[x]
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(NamedTuple):
     """A left action of ``actor`` on ``space`` by automorphisms.
 
     ``table[c]`` is the permutation of the space induced by actor element c,

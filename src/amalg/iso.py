@@ -22,8 +22,7 @@ and verify_split checks the section and hom laws plus both round trips.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .amalgam import (
     SIDE_A,
@@ -41,7 +40,7 @@ from .amalgam import (
     word_mul,
 )
 from .groups import FiniteGroup, GroupAction, GroupHom
-from .products import SemidirectGroup, semidirect
+from .products import SemidirectGroup, semidirect, split_maps
 from .reporting import Report, first_witness
 
 __all__ = [
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CompatibleActionTriple:
+class CompatibleActionTriple(NamedTuple):
     """Actions of one actor C on the two factors and the subgroup."""
 
     act_a: GroupAction
@@ -96,12 +94,13 @@ def _require_compatible(spec: AmalgamSpec, acts: CompatibleActionTriple) -> None
                     )
 
 
-@dataclass(frozen=True)
-class BigAmalgam:
+class BigAmalgam(NamedTuple):
     """The amalgam of the three semidirect products, plus its ingredients.
 
     ``make_big_amalgam`` builds it once ``acts`` is checked compatible with
-    ``small``, which ``act`` relies on.
+    ``small``, which ``act`` relies on.  It also tabulates, for ``nu`` and
+    ``tau``, the base embeddings n -> (n, e_C) of the two sides and the
+    forms tau(c) of the section c -> (e_D, c).
     """
 
     small: AmalgamSpec
@@ -110,6 +109,9 @@ class BigAmalgam:
     sd_b: SemidirectGroup
     sd_d: SemidirectGroup
     spec: AmalgamSpec
+    base_a: tuple[int, ...]
+    base_b: tuple[int, ...]
+    taus: tuple[NormalForm, ...]
 
     @property
     def actor(self) -> FiniteGroup:
@@ -117,8 +119,10 @@ class BigAmalgam:
 
     def act(self, c: int, form: NormalForm) -> NormalForm:
         """The induced action of C on the small amalgam: syllable-wise, re-reduced."""
-        table = {SIDE_A: self.acts.act_a.table[c], SIDE_B: self.acts.act_b.table[c]}
-        return reduce_word(self.small, [(s, table[s][x]) for s, x in to_word(self.small, form)])
+        row_a, row_b = self.acts.act_a.table[c], self.acts.act_b.table[c]
+        return reduce_word(self.small, [
+            (s, (row_a if s == SIDE_A else row_b)[x]) for s, x in to_word(self.small, form)
+        ])
 
     def side_sd(self, side: str) -> SemidirectGroup:
         return self.sd_a if side == SIDE_A else self.sd_b
@@ -143,7 +147,9 @@ def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmal
         for sd, iota in ((sd_a, spec.iota_a), (sd_b, spec.iota_b))
     )
     big_spec = make_amalgam(sd_a.flat, sd_b.flat, sd_d.flat, lift_a, lift_b)
-    return BigAmalgam(spec, acts, sd_a, sd_b, sd_d, big_spec)
+    base_a, base_b = (split_maps(sd)[0].image for sd in (sd_a, sd_b))
+    taus = tuple([NormalForm((), x) for x in split_maps(sd_d)[2].image])
+    return BigAmalgam(spec, acts, sd_a, sd_b, sd_d, big_spec, base_a, base_b, taus)
 
 
 class SmallSemidirect:
@@ -173,11 +179,16 @@ class SmallSemidirect:
 
 
 def nu(big: BigAmalgam, form: NormalForm) -> NormalForm:
-    """Embed a plain normal form: each syllable gains a trivial C-component."""
-    e_c = big.actor.identity
-    return reduce_word(
-        big.spec, [(s, big.side_sd(s).encode(t, e_c)) for s, t in to_word(big.small, form)]
-    )
+    """Embed a plain normal form: each syllable gains a trivial C-component,
+    read from the base embedding of its side.  ``encode`` reports a syllable
+    out of range, and ``reduce_word`` an unknown side."""
+    base_a, base_b = big.base_a, big.base_b
+    word = []
+    for s, t in to_word(big.small, form):
+        base = base_a if s == SIDE_A else base_b
+        word.append((s, base[t] if 0 <= t < len(base) else
+                     big.side_sd(s).encode(t, big.actor.identity)))
+    return reduce_word(big.spec, word)
 
 
 def mu(big: BigAmalgam, form: NormalForm) -> int:
@@ -190,7 +201,10 @@ def mu(big: BigAmalgam, form: NormalForm) -> int:
 
 
 def tau(big: BigAmalgam, c: int) -> NormalForm:
-    """Section of mu: the class of (e_D, c), a pure subgroup element."""
+    """Section of mu: the class of (e_D, c), a pure subgroup element.
+    ``encode`` reports an actor element out of range."""
+    if 0 <= c < len(big.taus):
+        return big.taus[c]
     return NormalForm((), big.sd_d.encode(big.small.d.identity, c))
 
 

@@ -22,9 +22,8 @@ amalgam sides.  Every function here that reads or writes letter words uses it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .amalgam import SIDE_A, SIDE_B, NormalForm, Syllable, make_amalgam, reduce_word, to_word
 from .groups import hom_from_generators, inversion_action, make_cyclic
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """An integer 2x2 matrix [[a, b], [c, d]]."""
 
     a: int
@@ -117,8 +115,7 @@ def _table_product(tables: Mapping[str, Any], keys: Iterable[tuple[str, int]]) -
     return acc
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     """A letter of GL2(Z) words: ``powers[k]`` is its k-th power, so its order
     is ``len(powers)``.  Syllable x of ``side`` is its x-th power; j lies in
     the amalgamated subgroup and has no side."""
@@ -166,22 +163,19 @@ def fold_letters(raw: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class Glt2Word:
+class Glt2Word(NamedTuple):
     """A word in the letters s, u, j with nonzero integer exponents."""
 
     letters: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class DihedralAmalgamForm:
+class DihedralAmalgamForm(NamedTuple):
     """A normal form over the dihedral amalgam (D4 amalgamated with D6)."""
 
     form: NormalForm
 
 
-@dataclass(frozen=True)
-class SyllableMatrices:
+class SyllableMatrices(NamedTuple):
     """The matrix of every syllable of one amalgam's realization: ``a[x]`` and
     ``b[x]`` for the elements of each side, ``d[x]`` for the subgroup."""
 
@@ -196,8 +190,7 @@ class SyllableMatrices:
         return mat_mul(head, self.d[form.tail])
 
 
-@dataclass(frozen=True)
-class DihedralModel:
+class DihedralModel(NamedTuple):
     """The dihedral amalgam together with its matrix realization.
 
     In the small amalgam Z4 *_Z2 Z6, side a is n -> S^n, side b is n -> U^n

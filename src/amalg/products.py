@@ -10,8 +10,7 @@ section) are correct by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .groups import (
     FiniteGroup,
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SemidirectGroup:
+class SemidirectGroup(NamedTuple):
     """A semidirect product bundled with its flat table group."""
 
     space: FiniteGroup

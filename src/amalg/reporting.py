@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = ["CheckRecord", "Report"]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """Outcome of a single named check on a single instance."""
 
     check: str
@@ -18,8 +16,7 @@ class CheckRecord:
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """An ordered bundle of check records."""
 
     records: tuple[CheckRecord, ...]

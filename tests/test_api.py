@@ -89,3 +89,11 @@ def test_package_exposes_exactly_the_public_names():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == PUBLIC_NAMES
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # Each costs every command-line process start-up time.
+    code = "import sys, amalg.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False"]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -622,3 +623,40 @@ def test_sl2_decompose_of_a_huge_lower_unipotent_exits_2_at_once():
     )
     assert result.returncode == 2, result.stderr
     assert "more than a list can hold" in result.stderr
+
+
+def test_blank_generator_map_is_empty():
+    assert parse_gen_map("") == {}
+    assert parse_gen_map("  ") == {}
+
+
+# Z1 has no generators, so its embeddings are given by empty maps.
+Z1_AMALGAM = ["--A", "Z4", "--B", "Z6", "--D", "Z1", "--iotaA", "", "--iotaB", ""]
+
+
+def test_nf_over_the_trivial_subgroup(capsys):
+    assert run(["nf", *Z1_AMALGAM, "a:1"]) == 0
+    assert capsys.readouterr() == ("a:1\n", "")
+
+
+def test_iso_check_over_the_trivial_subgroup(capsys):
+    args = ["iso-check", *Z1_AMALGAM, "--C", "Z2", "--actA", "inv", "--actB", "inv",
+            "--actD", "inv", "--bound", "2", "--samples", "20"]
+    assert run(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("PASS ") for line in lines)
+
+
+# An empty PYTHONUNBUFFERED counts as unset.
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    try:
+        result = subprocess.run([sys.executable, "-m", "amalg", "axioms", "Z4"],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")

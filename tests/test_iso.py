@@ -10,6 +10,7 @@ from amalg import (
     SIDE_B,
     CompatibleActionTriple,
     NormalForm,
+    SemidirectGroup,
     SmallSemidirect,
     check_group_axioms,
     enumerate_forms,
@@ -24,7 +25,10 @@ from amalg import (
     phi,
     phi_inv,
     random_form,
+    reduce_word,
+    split_maps,
     tau,
+    to_word,
     trivial_action,
     verify_exact_sequence,
     verify_split,
@@ -265,3 +269,42 @@ def test_single_syllable_hom_check_evaluates_phi_once_per_short(big, monkeypatch
     # products; nothing else evaluates phi when no samples are drawn.
     assert verify_split(big, 0, 0).ok
     assert len(calls) == 16 + 16 * 16
+
+
+def test_nu_and_tau_read_tables_and_never_encode(big, monkeypatch):
+    calls = []
+    encode = SemidirectGroup.encode
+
+    def counting_encode(sd, n, c):
+        calls.append((sd.flat.label, n, c))
+        return encode(sd, n, c)
+
+    monkeypatch.setattr(SemidirectGroup, "encode", counting_encode)
+    assert verify_exact_sequence(big, 2).ok
+    assert verify_split(big, 20, 1).ok
+    assert calls == []
+
+
+def test_nu_and_tau_tables_are_the_split_maps(big):
+    for form in enumerate_forms(big.small, 1):
+        lifted = [(s, split_maps(big.side_sd(s))[0].image[x]) for s, x in to_word(big.small, form)]
+        assert nu(big, form) == reduce_word(big.spec, lifted)
+    section = split_maps(big.sd_d)[2]
+    for c in big.actor.elements():
+        assert tau(big, c) == NormalForm((), section.image[c])
+
+
+# An out-of-range syllable or actor element gets the message encode gives it.
+@pytest.mark.parametrize("call, message", [
+    (lambda big: nu(big, NormalForm(((SIDE_A, -1),), 0)), "pair (-1, 0) out of range for Z4:Z2"),
+    (lambda big: nu(big, NormalForm(((SIDE_A, 9),), 0)), "pair (9, 0) out of range for Z4:Z2"),
+    (lambda big: nu(big, NormalForm((("z", 1),), 0)), "unknown side 'z'"),
+    (lambda big: tau(big, -1), "pair (0, -1) out of range for Z2:Z2"),
+    (lambda big: tau(big, 5), "pair (0, 5) out of range for Z2:Z2"),
+    (lambda big: phi(big, NormalForm((), 0), -1), "pair (0, -1) out of range for Z2:Z2"),
+    (lambda big: phi(big, NormalForm((), 0), 5), "pair (0, 5) out of range for Z2:Z2"),
+], ids=["nu-a-negative", "nu-a-9", "nu-side-z", "tau-negative", "tau-5", "phi-negative", "phi-5"])
+def test_iso_maps_report_out_of_range_input(big, call, message):
+    with pytest.raises(ValueError) as err:
+        call(big)
+    assert str(err.value) == message
