@@ -64,7 +64,9 @@ class AmalgamSpec(NamedTuple):
 
     ``trans_a`` lists the chosen representatives (identity first), and
     ``decomp_a[x] = (t, d)`` is the unique splitting x = t * iota_a(d) with t
-    a representative; likewise for the b side.
+    a representative; likewise for the b side.  ``tables_a`` is the tuple
+    ``(a.mul, decomp_a, iota_a.image, a.identity)`` that reduction reads,
+    built once by ``make_amalgam``; likewise ``tables_b``.
     """
 
     a: FiniteGroup
@@ -77,18 +79,8 @@ class AmalgamSpec(NamedTuple):
     decomp_a: tuple[tuple[int, int], ...]
     decomp_b: tuple[tuple[int, int], ...]
     label: str
-
-    def side_group(self, side: str) -> FiniteGroup:
-        return self.a if side == SIDE_A else self.b
-
-    def iota(self, side: str) -> GroupHom:
-        return self.iota_a if side == SIDE_A else self.iota_b
-
-    def trans(self, side: str) -> tuple[int, ...]:
-        return self.trans_a if side == SIDE_A else self.trans_b
-
-    def decomp(self, side: str) -> tuple[tuple[int, int], ...]:
-        return self.decomp_a if side == SIDE_A else self.decomp_b
+    tables_a: tuple
+    tables_b: tuple
 
 
 def _coset_data(
@@ -139,7 +131,9 @@ def make_amalgam(
     trans_b, decomp_b = _coset_data(b, iota_b)
     label = f"{a.label} *[{d.label}] {b.label}"
     return AmalgamSpec(
-        a, b, d, iota_a, iota_b, trans_a, trans_b, decomp_a, decomp_b, label
+        a, b, d, iota_a, iota_b, trans_a, trans_b, decomp_a, decomp_b, label,
+        (a.mul, decomp_a, iota_a.image, a.identity),
+        (b.mul, decomp_b, iota_b.image, b.identity),
     )
 
 
@@ -154,9 +148,7 @@ def _append(
 
     Returns the new trailing subgroup part; ``stack`` is mutated.
     """
-    a, b = spec.a, spec.b
-    side_a = (a.mul, spec.decomp_a, spec.iota_a.image, a.identity)
-    side_b = (b.mul, spec.decomp_b, spec.iota_b.image, b.identity)
+    side_a, side_b = spec.tables_a, spec.tables_b
     for side, x in syllables:
         if side == SIDE_A:
             mul, decomp, img, e = side_a
@@ -209,7 +201,8 @@ def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
 def word_inv(spec: AmalgamSpec, u: NormalForm) -> NormalForm:
     """Inverse: reverse the embedded word and invert each syllable."""
     inverted = [
-        (side, spec.side_group(side).inv[x]) for side, x in reversed(to_word(spec, u))
+        (side, (spec.a if side == SIDE_A else spec.b).inv[x])
+        for side, x in reversed(to_word(spec, u))
     ]
     return reduce_word(spec, inverted)
 
@@ -225,12 +218,10 @@ def word_eq(
     return nu == nv
 
 
-def _reps(spec: AmalgamSpec) -> dict[str, list[int]]:
-    """The non-identity representatives of each side, in transversal order."""
-    return {
-        SIDE_A: [t for t in spec.trans_a if t != spec.a.identity],
-        SIDE_B: [t for t in spec.trans_b if t != spec.b.identity],
-    }
+def _reps(spec: AmalgamSpec) -> dict[str, tuple[int, ...]]:
+    """The non-identity representatives of each side, in transversal order
+    (``_coset_data`` lists the identity first)."""
+    return {SIDE_A: spec.trans_a[1:], SIDE_B: spec.trans_b[1:]}
 
 
 def _heads(spec: AmalgamSpec, max_len: int) -> list[tuple[Syllable, ...]]:
@@ -250,6 +241,8 @@ def _heads(spec: AmalgamSpec, max_len: int) -> list[tuple[Syllable, ...]]:
 
 def enumerate_forms(spec: AmalgamSpec, max_head: int) -> list[NormalForm]:
     """All normal forms with head length at most max_head, in a fixed order."""
+    if max_head < 0:
+        raise ValueError(f"max_head must be non-negative, got {max_head}")
     return [
         NormalForm(h, d)
         for h in _heads(spec, max_head)
@@ -259,6 +252,8 @@ def enumerate_forms(spec: AmalgamSpec, max_head: int) -> list[NormalForm]:
 
 def random_form(rng: random.Random, spec: AmalgamSpec, max_head: int) -> NormalForm:
     """A seeded random normal form with head length at most max_head."""
+    if max_head < 0:
+        raise ValueError(f"max_head must be non-negative, got {max_head}")
     reps = _reps(spec)
     length = rng.randint(0, max_head)
     sides = [s for s in (SIDE_A, SIDE_B) if reps[s]]

@@ -180,17 +180,18 @@ def parse_letter_word(text: str) -> Glt2Word:
 def parse_amalgam_word(text: str, spec: AmalgamSpec) -> tuple[Syllable, ...]:
     """Parse a word like 'a:1 * b:2 * a:3^-1' over the given amalgam into
     its raw syllables."""
+    groups = {SIDE_A: spec.a, SIDE_B: spec.b}
 
     def syllable(s: _Scanner, side: str) -> tuple[str, int]:
         s.expect(":")
         idx_off = s.pos
         idx = s.integer()
-        if not 0 <= idx < spec.side_group(side).order:
+        if not 0 <= idx < groups[side].order:
             raise ParseError(idx_off, f"element index {idx} out of range for side {side}")
         return side, idx
 
     terms = _parse_terms(text, (SIDE_A, SIDE_B), "side", syllable)
-    return tuple((side, spec.side_group(side).power(x, k)) for (side, x), k in terms)
+    return tuple((side, groups[side].power(x, k)) for (side, x), k in terms)
 
 
 def render_matrix(m: Mat2) -> str:

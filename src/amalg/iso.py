@@ -118,7 +118,10 @@ class BigAmalgam(NamedTuple):
         return self.acts.actor
 
     def act(self, c: int, form: NormalForm) -> NormalForm:
-        """The induced action of C on the small amalgam: syllable-wise, re-reduced."""
+        """The induced action of C on the small amalgam: syllable-wise, re-reduced.
+        An actor element out of range gets ``tau``'s error."""
+        if not 0 <= c < len(self.taus):
+            tau(self, c)
         row_a, row_b = self.acts.act_a.table[c], self.acts.act_b.table[c]
         return reduce_word(self.small, [
             (s, (row_a if s == SIDE_A else row_b)[x]) for s, x in to_word(self.small, form)

@@ -1,5 +1,6 @@
 """Amalgamated free products: coset data, reduction, and word algebra."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,10 +11,12 @@ from amalg import (
     AmalgamSpec,
     NormalForm,
     enumerate_forms,
+    hom_from_generators,
     identity_form,
     identity_hom,
     make_amalgam,
     make_cyclic,
+    make_dihedral,
     make_hom,
     random_form,
     reduce_word,
@@ -34,8 +37,8 @@ def assert_valid_form(spec: AmalgamSpec, form: NormalForm) -> None:
     for side, t in form.head:
         assert side in (SIDE_A, SIDE_B)
         assert side != prev_side
-        group = spec.side_group(side)
-        assert t in spec.trans(side)
+        group, trans = (spec.a, spec.trans_a) if side == SIDE_A else (spec.b, spec.trans_b)
+        assert t in trans
         assert t != group.identity
         prev_side = side
 
@@ -50,20 +53,49 @@ def make_degenerate_amalgam():
     return make_amalgam(z4, z4, z4, identity_hom(z4), identity_hom(z4))
 
 
+def make_dihedral_amalgam():
+    z2, d4, d6 = make_cyclic(2), make_dihedral(4), make_dihedral(6)
+    return make_amalgam(
+        d4, d6, z2, hom_from_generators(z2, d4, {1: 4}), hom_from_generators(z2, d6, {1: 7})
+    )
+
+
+def make_one_sided_amalgam():
+    """Z2 *[Z2] Z4: the subgroup is all of side a, so only side b has
+    non-identity representatives."""
+    z2, z4 = make_cyclic(2), make_cyclic(4)
+    return make_amalgam(z2, z4, z2, identity_hom(z2), make_hom(z2, z4, (0, 2)))
+
+
+AMALGAMS = {
+    "small": lambda model: model.big.small,
+    "big": lambda model: model.big.spec,
+    "dihedral": lambda model: make_dihedral_amalgam(),
+    "free": lambda model: make_free_product(),
+    "degenerate": lambda model: make_degenerate_amalgam(),
+    "one-sided": lambda model: make_one_sided_amalgam(),
+}
+
+
 def test_transversals_of_the_z4_z6_amalgam(small_spec):
     assert small_spec.trans_a == (0, 1)
     assert small_spec.trans_b == (0, 1, 2)
     assert small_spec.label == "Z4 *[Z2] Z6"
 
 
+def sides(spec):
+    """(group, iota, trans, decomp) of side a, then of side b."""
+    return (
+        (spec.a, spec.iota_a, spec.trans_a, spec.decomp_a),
+        (spec.b, spec.iota_b, spec.trans_b, spec.decomp_b),
+    )
+
+
 def test_decomposition_tables_split_every_element(small_spec):
-    for side in (SIDE_A, SIDE_B):
-        group = small_spec.side_group(side)
-        iota = small_spec.iota(side)
-        trans = small_spec.trans(side)
+    for group, iota, trans, decomp in sides(small_spec):
         seen = set()
         for x in group.elements():
-            t, d = small_spec.decomp(side)[x]
+            t, d = decomp[x]
             assert t in trans
             assert group.mul[t][iota.image[d]] == x
             seen.add((t, d))
@@ -72,11 +104,9 @@ def test_decomposition_tables_split_every_element(small_spec):
 
 
 def test_non_subgroup_representatives_are_coset_minima(small_spec):
-    for side in (SIDE_A, SIDE_B):
-        group = small_spec.side_group(side)
-        iota = small_spec.iota(side)
+    for group, iota, trans, _ in sides(small_spec):
         sub = set(iota.image)
-        for t in small_spec.trans(side):
+        for t in trans:
             coset = {group.mul[t][h] for h in sub}
             if group.identity in coset:
                 assert t == group.identity
@@ -253,3 +283,56 @@ def test_free_product_closure_oracle_agreement():
         classes_of_form.setdefault(form, set()).add(key)
     assert all(len(v) == 1 for v in forms_of_class.values())
     assert all(len(v) == 1 for v in classes_of_form.values())
+
+
+@pytest.mark.parametrize("name", list(AMALGAMS))
+def test_side_tables_are_built_once_and_hash_by_value(model, name):
+    spec = AMALGAMS[name](model)
+    assert spec.tables_a == (spec.a.mul, spec.decomp_a, spec.iota_a.image, spec.a.identity)
+    assert spec.tables_b == (spec.b.mul, spec.decomp_b, spec.iota_b.image, spec.b.identity)
+    again = make_amalgam(spec.a, spec.b, spec.d, spec.iota_a, spec.iota_b)
+    assert again == spec
+    assert hash(again) == hash(spec)
+
+
+def test_negative_max_head_is_rejected_before_any_draw(small_spec):
+    with pytest.raises(ValueError) as err:
+        enumerate_forms(small_spec, -1)
+    assert str(err.value) == "max_head must be non-negative, got -1"
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ValueError) as err:
+        random_form(rng, small_spec, -1)
+    assert str(err.value) == "max_head must be non-negative, got -1"
+    assert rng.getstate() == state
+    assert enumerate_forms(small_spec, 0) == [NormalForm((), 0), NormalForm((), 1)]
+
+
+# SHA-256 of the repr of 200 draws random_form(random.Random(7), spec, 6) from
+# one generator, and of enumerate_forms(spec, 3): seeded draws feed every
+# verifier, so a change to how representatives are listed or drawn shows here.
+PINNED_DRAWS = {
+    "small": ("71d118700be05827c122dcf3fec536018c61dc93aa88a704b6cdea27b3317cec",
+              "6d3d361e27814b32b5170f990e47af06f9443609bf714b086453bee9890bf850"),
+    "big": ("b9ff8992fd56448f7b108eea42d0eaec4d2a76a0c6f2362e1c324f432a95efc5",
+            "723a1bbfd9cc6c9212bc32373b32bec90acc900fad30e118dc937a289b976021"),
+    "dihedral": ("1cf0c1954ff0c27d617d469209e972d2f6ebf8b895727a0a893445d226ad7348",
+                 "d491d2e5e53c4c0b7a69b53eb111eba1b4cb98bb9a597db269adfe74f2d5cbbc"),
+    "free": ("7fc3c08d2bc96a04040712a19a186d39a361fe633dbda9b965fcdde78239ede9",
+             "e7f1303c74b2756f596cbf4b7fecfbf6a7c379fb472491c4e1bdf8655b310e1b"),
+    "degenerate": ("8a5973fcba610a5e6946103c1de9dfffa3beb3f338885f3704ab23719e174149",
+                   "0caf46750ef5f812b3b70ce1787d5e958a6f361501b093d25e5890f670230222"),
+    "one-sided": ("ba7feae34cdbab79543328ab77374effcbea47d68f830f660e20ead037938560",
+                  "98937b8252fdd4e2ea306748ec7232290375404e866b3839e67f7f17eb58287e"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_DRAWS))
+def test_random_and_enumerated_forms_are_pinned(model, name):
+    spec = AMALGAMS[name](model)
+    rng = random.Random(7)
+    draws = [random_form(rng, spec, 6) for _ in range(200)]
+    digests = tuple(
+        hashlib.sha256(repr(x).encode()).hexdigest() for x in (draws, enumerate_forms(spec, 3))
+    )
+    assert digests == PINNED_DRAWS[name]

@@ -303,7 +303,12 @@ def test_nu_and_tau_tables_are_the_split_maps(big):
     (lambda big: tau(big, 5), "pair (0, 5) out of range for Z2:Z2"),
     (lambda big: phi(big, NormalForm((), 0), -1), "pair (0, -1) out of range for Z2:Z2"),
     (lambda big: phi(big, NormalForm((), 0), 5), "pair (0, 5) out of range for Z2:Z2"),
-], ids=["nu-a-negative", "nu-a-9", "nu-side-z", "tau-negative", "tau-5", "phi-negative", "phi-5"])
+    (lambda big: big.act(-1, NormalForm(((SIDE_A, 1),), 0)), "pair (0, -1) out of range for Z2:Z2"),
+    (lambda big: big.act(5, NormalForm(((SIDE_A, 1),), 0)), "pair (0, 5) out of range for Z2:Z2"),
+    (lambda big: word_inv(big.small, NormalForm((("z", 1),), 0)), "unknown side 'z'"),
+    (lambda big: big.act(1, NormalForm((("z", 1),), 0)), "unknown side 'z'"),
+], ids=["nu-a-negative", "nu-a-9", "nu-side-z", "tau-negative", "tau-5", "phi-negative", "phi-5",
+        "act-negative", "act-5", "word-inv-side-z", "act-side-z"])
 def test_iso_maps_report_out_of_range_input(big, call, message):
     with pytest.raises(ValueError) as err:
         call(big)

@@ -74,7 +74,7 @@ def random_raw_word(rng, spec, max_len):
     word = []
     for _ in range(rng.randint(0, max_len)):
         side = rng.choice((SIDE_A, SIDE_B))
-        word.append((side, rng.randrange(spec.side_group(side).order)))
+        word.append((side, rng.randrange((spec.a if side == SIDE_A else spec.b).order)))
     return word
 
 
