@@ -47,8 +47,9 @@ w = reduce_word(small, [(SIDE_A, 1), (SIDE_B, 1)])
 print(f"\nnu of head {w.head}: head {nu(big, w).head}")
 print(f"mu o tau on C: {[mu(big, tau(big, c)) for c in (0, 1)]}")
 
-# phi(w, c) = nu(w) * tau(c) is the isomorphism; phi_inv strips the actor
-# components back off.
+# phi(w, c) = nu(w) * tau(c) is the isomorphism; its inverse phi_inv is Psi,
+# which reads each big syllable (n, c) as the pair ((n), c) of the small
+# semidirect product and multiplies the pairs out.
 g = phi(big, w, 1)
 print(f"phi(w, 1): head {g.head}, tail {g.tail}")
 print(f"phi_inv returns the pair: {phi_inv(big, g) == (w, 1)}")

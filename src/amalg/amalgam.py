@@ -199,11 +199,12 @@ def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
 
 
 def word_inv(spec: AmalgamSpec, u: NormalForm) -> NormalForm:
-    """Inverse: reverse the embedded word and invert each syllable."""
-    inverted = [
-        (side, (spec.a if side == SIDE_A else spec.b).inv[x])
-        for side, x in reversed(to_word(spec, u))
-    ]
+    """Inverse: reverse the embedded word and invert each syllable.  An
+    element out of range is left as it is, for ``reduce_word`` to report."""
+    inverted = []
+    for side, x in reversed(to_word(spec, u)):
+        inv = (spec.a if side == SIDE_A else spec.b).inv
+        inverted.append((side, inv[x] if 0 <= x < len(inv) else x))
     return reduce_word(spec, inverted)
 
 

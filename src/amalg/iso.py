@@ -13,7 +13,8 @@ mutually inverse maps between them:
   mu   projects the big amalgam onto C (product of the C-components in word
        order),
   tau  sections mu through the subgroup side (c -> the class of (e_A, c)),
-  phi  (w, c) -> nu(w) * tau(c), with inverse phi_inv.
+  phi  (w, c) -> nu(w) * tau(c), with inverse phi_inv (Psi), which reads each
+       syllable (n, c) as the pair ((n), c) and multiplies the pairs out.
 
 verify_exact_sequence checks image nu = kernel mu at a head-length bound,
 and verify_split checks the section and hom laws plus both round trips.
@@ -119,13 +120,16 @@ class BigAmalgam(NamedTuple):
 
     def act(self, c: int, form: NormalForm) -> NormalForm:
         """The induced action of C on the small amalgam: syllable-wise, re-reduced.
-        An actor element out of range gets ``tau``'s error."""
+        An actor element out of range gets ``tau``'s error, and a syllable
+        element out of range is left as it is, for ``reduce_word`` to report."""
         if not 0 <= c < len(self.taus):
             tau(self, c)
         row_a, row_b = self.acts.act_a.table[c], self.acts.act_b.table[c]
-        return reduce_word(self.small, [
-            (s, (row_a if s == SIDE_A else row_b)[x]) for s, x in to_word(self.small, form)
-        ])
+        word = []
+        for s, x in to_word(self.small, form):
+            row = row_a if s == SIDE_A else row_b
+            word.append((s, row[x] if 0 <= x < len(row) else x))
+        return reduce_word(self.small, word)
 
     def side_sd(self, side: str) -> SemidirectGroup:
         return self.sd_a if side == SIDE_A else self.sd_b
@@ -195,10 +199,14 @@ def nu(big: BigAmalgam, form: NormalForm) -> NormalForm:
 
 
 def mu(big: BigAmalgam, form: NormalForm) -> int:
-    """Project onto C: multiply the C-components in word order."""
+    """Project onto C: multiply the C-components in word order.  A syllable
+    that ``reduce_word`` rejects gets the same error."""
     c_group = big.actor
+    sizes = {SIDE_A: big.spec.a.order, SIDE_B: big.spec.b.order}
     acc = c_group.identity
     for s, x in form.head:
+        if not 0 <= x < sizes.get(s, 0):
+            reduce_word(big.spec, [(s, x)])  # raises the error for this syllable
         acc = c_group.mul[acc][big.side_sd(s).decode(x)[1]]
     return c_group.mul[acc][big.sd_d.decode(form.tail)[1]]
 
@@ -217,32 +225,26 @@ def phi(big: BigAmalgam, form: NormalForm, c: int) -> NormalForm:
 
 
 def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
-    """Invert phi: split off the C-part, then strip trivialized components.
-
-    The C-component of each syllable is pushed rightward through the word via
-    the induced actions; after stripping tau(mu(g)) the accumulated component
-    must vanish, or the input was not a valid big-amalgam form.
-    """
+    """Psi, the inverse of phi: each syllable (n, c) is read as the pair
+    ((n), c) of (A *_D B) x| C, and the pairs are multiplied out left to
+    right, so the C-part gathered so far acts on each later plain syllable.
+    It reads only the actions, never ``tau``, and reduces once.  A syllable
+    that ``reduce_word`` rejects gets the same error."""
     c_group = big.actor
-    c = mu(big, g)
-    h = word_mul(big.spec, g, word_inv(big.spec, tau(big, c)))
+    sizes = {SIDE_A: big.spec.a.order, SIDE_B: big.spec.b.order}
     act = {SIDE_A: big.acts.act_a.table, SIDE_B: big.acts.act_b.table}
     acc = c_group.identity
     word: list[Syllable] = []
-    for s, x in h.head:
+    for s, x in g.head:
+        if not 0 <= x < sizes.get(s, 0):
+            reduce_word(big.spec, [(s, x)])  # raises the error for this syllable
         n, cx = big.side_sd(s).decode(x)
         word.append((s, act[s][acc][n]))
         acc = c_group.mul[acc][cx]
-    d0, c0 = big.sd_d.decode(h.tail)
-    d_final = big.acts.act_d.table[acc][d0]
-    acc = c_group.mul[acc][c0]
-    if acc != c_group.identity:
-        raise RuntimeError(
-            f"internal inconsistency: residual actor component {acc} "
-            f"after stripping the section"
-        )
+    d, c0 = big.sd_d.decode(g.tail)
     form = reduce_word(big.small, word)
-    return NormalForm(form.head, big.small.d.mul[form.tail][d_final]), c
+    tail = big.small.d.mul[form.tail][big.acts.act_d.table[acc][d]]
+    return NormalForm(form.head, tail), c_group.mul[acc][c0]
 
 
 def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:

@@ -648,6 +648,31 @@ def test_iso_check_over_the_trivial_subgroup(capsys):
     assert all(line.startswith("PASS ") for line in lines)
 
 
+# Z2 with its identity at element 1; row 1 of each action is trivial, row 0 inverts.
+SHIFTED_IDENTITY_Z2 = """\
+group Z2r order 2
+identity 1
+row 0: 1 0
+row 1: 0 1
+generators: 0
+"""
+
+
+def test_iso_check_with_an_actor_whose_identity_is_not_element_zero(tmp_path, capsys):
+    args = ["iso-check", "--A", "Z4", "--B", "Z6", "--D", "Z2", "--iotaA", "1:2", "--iotaB", "1:3",
+            "--C", str(tmp_path / "z2r.grp"), "--bound", "2", "--samples", "30"]
+    (tmp_path / "z2r.grp").write_text(SHIFTED_IDENTITY_Z2)
+    for flag, n in (("--actA", 4), ("--actB", 6), ("--actD", 2)):
+        path = tmp_path / f"{flag[2:]}.act"
+        inverse = " ".join(str(-x % n) for x in range(n))
+        path.write_text(f"action Z2r on Z{n}\nc 0: {inverse}\nc 1: {' '.join(map(str, range(n)))}\n")
+        args += [flag, str(path)]
+    assert run(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("PASS ") for line in lines)
+
+
 # An empty PYTHONUNBUFFERED counts as unset.
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_141_quietly(unbuffered):

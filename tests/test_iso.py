@@ -9,6 +9,7 @@ from amalg import (
     SIDE_A,
     SIDE_B,
     CompatibleActionTriple,
+    FiniteGroup,
     NormalForm,
     SemidirectGroup,
     SmallSemidirect,
@@ -17,9 +18,11 @@ from amalg import (
     identity_form,
     identity_hom,
     inversion_action,
+    make_action,
     make_amalgam,
     make_big_amalgam,
     make_cyclic,
+    make_hom,
     mu,
     nu,
     phi,
@@ -156,6 +159,53 @@ def test_phi_is_a_bijection_at_bound_three(big):
 def test_phi_inv_inverts_phi_exhaustively_at_bound_three(big):
     for w in enumerate_forms(big.small, 3):
         for c in big.actor.elements():
+            assert phi_inv(big, phi(big, w, c)) == (w, c)
+
+
+def test_phi_inv_reads_only_the_actions(big, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("phi_inv reads only the actions")
+
+    forms = enumerate_forms(big.spec, 3)
+    for name in ("mu", "tau", "word_mul", "word_inv"):
+        monkeypatch.setattr(iso, name, forbidden)
+    pairs = [phi_inv(big, g) for g in forms]
+    monkeypatch.undo()
+    assert [phi(big, w, c) for w, c in pairs] == forms
+
+
+def inverted_by_a_shifted_z2(spec):
+    """``spec`` under Z2 with its identity at element 1: row 1 is trivial and
+    row 0 inverts.  Big representatives are least flat indices (t, 0), so
+    only when C's identity is not element 0 do big heads carry non-identity
+    C-components for phi_inv to push along the word."""
+    z2r = FiniteGroup("Z2r", ((1, 0), (0, 1)), 1, (0, 1), (0,))
+
+    def inverting(g):
+        return make_action(z2r, g, (g.inv, tuple(g.elements())))
+
+    return make_big_amalgam(spec, CompatibleActionTriple(
+        inverting(spec.a), inverting(spec.b), inverting(spec.d)))
+
+
+def test_an_actor_whose_identity_is_not_element_zero(small_spec):
+    big = inverted_by_a_shifted_z2(small_spec)
+    for w in enumerate_forms(small_spec, 3):
+        for c in (0, 1):
+            assert phi_inv(big, phi(big, w, c)) == (w, c)
+    assert nu(big, NormalForm(((SIDE_A, 1), (SIDE_B, 1)), 0)) == NormalForm(
+        ((SIDE_A, 2), (SIDE_B, 4)), 3)
+    # The big representatives are not the lifts (t, e_C) of the small ones.
+    assert big.spec.trans_a == (1, 2)
+    assert tuple(big.base_a[t] for t in small_spec.trans_a) == (1, 3)
+    # Inversion is trivial on Z2 but not on Z3, so only here does the
+    # C-part pushed through the head act on the tail.
+    z3, z6 = make_cyclic(3), make_cyclic(6)
+    iota = make_hom(z3, z6, (0, 2, 4))
+    spec = make_amalgam(z6, z6, z3, iota, iota)
+    big = inverted_by_a_shifted_z2(spec)
+    for w in enumerate_forms(spec, 2):
+        for c in (0, 1):
             assert phi_inv(big, phi(big, w, c)) == (w, c)
 
 
@@ -307,8 +357,29 @@ def test_nu_and_tau_tables_are_the_split_maps(big):
     (lambda big: big.act(5, NormalForm(((SIDE_A, 1),), 0)), "pair (0, 5) out of range for Z2:Z2"),
     (lambda big: word_inv(big.small, NormalForm((("z", 1),), 0)), "unknown side 'z'"),
     (lambda big: big.act(1, NormalForm((("z", 1),), 0)), "unknown side 'z'"),
+    (lambda big: word_inv(big.small, NormalForm(((SIDE_A, -1),), 0)),
+     "element -1 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: word_inv(big.small, NormalForm(((SIDE_A, 9),), 0)),
+     "element 9 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: big.act(1, NormalForm(((SIDE_A, -1),), 0)),
+     "element -1 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: big.act(1, NormalForm(((SIDE_A, 9),), 0)),
+     "element 9 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: phi_inv(big, NormalForm((("z", 1),), 0)), "unknown side 'z'"),
+    (lambda big: phi_inv(big, NormalForm(((SIDE_A, 99),), 0)),
+     "element 99 out of range for side a of Z4:Z2 *[Z2:Z2] Z6:Z2"),
+    (lambda big: phi_inv(big, NormalForm(((SIDE_A, -1),), 0)),
+     "element -1 out of range for side a of Z4:Z2 *[Z2:Z2] Z6:Z2"),
+    (lambda big: mu(big, NormalForm((("z", 1),), 0)), "unknown side 'z'"),
+    (lambda big: mu(big, NormalForm(((SIDE_A, 99),), 0)),
+     "element 99 out of range for side a of Z4:Z2 *[Z2:Z2] Z6:Z2"),
+    (lambda big: mu(big, NormalForm(((SIDE_A, -1),), 0)),
+     "element -1 out of range for side a of Z4:Z2 *[Z2:Z2] Z6:Z2"),
 ], ids=["nu-a-negative", "nu-a-9", "nu-side-z", "tau-negative", "tau-5", "phi-negative", "phi-5",
-        "act-negative", "act-5", "word-inv-side-z", "act-side-z"])
+        "act-negative", "act-5", "word-inv-side-z", "act-side-z",
+        "word-inv-a-negative", "word-inv-a-9", "act-a-negative", "act-a-9",
+        "phi-inv-side-z", "phi-inv-a-99", "phi-inv-a-negative",
+        "mu-side-z", "mu-a-99", "mu-a-negative"])
 def test_iso_maps_report_out_of_range_input(big, call, message):
     with pytest.raises(ValueError) as err:
         call(big)
