@@ -180,9 +180,13 @@ def reduce_word(spec: AmalgamSpec, word: Iterable[Syllable]) -> NormalForm:
 def to_word(spec: AmalgamSpec, form: NormalForm) -> tuple[Syllable, ...]:
     """A normal form as a raw word: its head, then its tail as a side-a
     syllable unless the tail is the identity.  This is the only place that
-    writes a tail as a syllable."""
+    writes a tail as a syllable, and it reports a tail out of range."""
     if form.tail == spec.d.identity:
         return form.head
+    if not 0 <= form.tail < len(spec.d.mul):
+        raise ValueError(
+            f"tail {form.tail} out of range for the subgroup {spec.d.label} of {spec.label}"
+        )
     return form.head + ((SIDE_A, spec.iota_a.image[form.tail]),)
 
 
@@ -192,10 +196,14 @@ def syllable_count(spec: AmalgamSpec, form: NormalForm) -> int:
 
 def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
     """Product of two normal forms: fold v's head onto u, then multiply the
-    tails, in time O(|u| + |v|)."""
+    tails, in time O(|u| + |v|).  ``to_word`` reports a tail out of range."""
+    d_mul = spec.d.mul
+    if not (0 <= u.tail < len(d_mul) and 0 <= v.tail < len(d_mul)):
+        for w in (u, v):
+            to_word(spec, w)  # raises the error for the first tail out of range
     stack = list(u.head)
     d = _append(spec, stack, u.tail, v.head)
-    return NormalForm(tuple(stack), spec.d.mul[d][v.tail])
+    return NormalForm(tuple(stack), d_mul[d][v.tail])
 
 
 def word_inv(spec: AmalgamSpec, u: NormalForm) -> NormalForm:

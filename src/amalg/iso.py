@@ -23,7 +23,7 @@ and verify_split checks the section and hom laws plus both round trips.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .amalgam import (
     SIDE_A,
@@ -200,7 +200,7 @@ def nu(big: BigAmalgam, form: NormalForm) -> NormalForm:
 
 def mu(big: BigAmalgam, form: NormalForm) -> int:
     """Project onto C: multiply the C-components in word order.  A syllable
-    that ``reduce_word`` rejects gets the same error."""
+    or tail that ``reduce_word`` or ``to_word`` rejects gets the same error."""
     c_group = big.actor
     sizes = {SIDE_A: big.spec.a.order, SIDE_B: big.spec.b.order}
     acc = c_group.identity
@@ -208,6 +208,8 @@ def mu(big: BigAmalgam, form: NormalForm) -> int:
         if not 0 <= x < sizes.get(s, 0):
             reduce_word(big.spec, [(s, x)])  # raises the error for this syllable
         acc = c_group.mul[acc][big.side_sd(s).decode(x)[1]]
+    if not 0 <= form.tail < len(big.spec.d.mul):
+        to_word(big.spec, form)  # raises the error for this tail
     return c_group.mul[acc][big.sd_d.decode(form.tail)[1]]
 
 
@@ -229,7 +231,7 @@ def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
     ((n), c) of (A *_D B) x| C, and the pairs are multiplied out left to
     right, so the C-part gathered so far acts on each later plain syllable.
     It reads only the actions, never ``tau``, and reduces once.  A syllable
-    that ``reduce_word`` rejects gets the same error."""
+    or tail that ``reduce_word`` or ``to_word`` rejects gets the same error."""
     c_group = big.actor
     sizes = {SIDE_A: big.spec.a.order, SIDE_B: big.spec.b.order}
     act = {SIDE_A: big.acts.act_a.table, SIDE_B: big.acts.act_b.table}
@@ -241,6 +243,8 @@ def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
         n, cx = big.side_sd(s).decode(x)
         word.append((s, act[s][acc][n]))
         acc = c_group.mul[acc][cx]
+    if not 0 <= g.tail < len(big.spec.d.mul):
+        to_word(big.spec, g)  # raises the error for this tail
     d, c0 = big.sd_d.decode(g.tail)
     form = reduce_word(big.small, word)
     tail = big.small.d.mul[form.tail][big.acts.act_d.table[acc][d]]
@@ -271,7 +275,8 @@ def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:
 
 def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
     """Check the splitting: mu o tau = id, tau is a hom, phi satisfies the
-    hom law on seeded samples, and phi/phi_inv invert each other.
+    hom law on every pair of single-syllable shorts (evaluating phi once per
+    distinct argument) and on seeded samples, and phi/phi_inv invert each other.
 
     Samples are drawn only as a check reads them, and a check stops at its
     first counterexample, so a later check's draws start where it stopped.
@@ -293,18 +298,23 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
     def pair() -> tuple[NormalForm, int]:
         return small(), rng.randrange(c_group.order)
 
-    def phi_hom(
-        pairs: Iterable[tuple[Any, Any]], phi_of: Callable[[Any], NormalForm]
-    ) -> Iterator[str]:
-        for x, y in pairs:
-            if phi(big, *sd.mul(x, y)) != word_mul(spec, phi_of(x), phi_of(y)):
-                yield f"x = {x}, y = {y}"
-
-    # Exhaustive hom law on single-syllable pairs, with phi of each short taken once.
+    # Exhaustive hom law on all pairs of shorts.  Tables live for this call only:
+    # phi of each short and of each distinct product, and each c on each form.
     def phi_hom_shorts() -> Iterator[str]:
-        shorts = [(w, c) for w in enumerate_forms(big.small, 1) for c in cs]
+        forms = enumerate_forms(big.small, 1)
+        shorts = [(w, c) for w in forms for c in cs]
         phis = {x: phi(big, *x) for x in shorts}
-        yield from phi_hom(((x, y) for x in shorts for y in shorts), phis.__getitem__)
+        acted = {(c, w): big.act(c, w) for c in cs for w in forms}
+        phi_xys: dict[tuple[NormalForm, int], NormalForm] = {}
+        for x in shorts:
+            for y in shorts:
+                (w1, c1), (w2, c2) = x, y
+                # SmallSemidirect.mul's formula, with the action read from the table.
+                xy = word_mul(big.small, w1, acted[c1, w2]), c_group.mul[c1][c2]
+                if xy not in phi_xys:
+                    phi_xys[xy] = phi(big, *xy)
+                if phi_xys[xy] != word_mul(spec, phis[x], phis[y]):
+                    yield f"x = {x}, y = {y}"
     checks = (
         ("mu-tau-identity", (f"c = {c}" for c in cs if mu(big, tau(big, c)) != c)),
         ("tau-homomorphism", (
@@ -312,7 +322,10 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
             if word_mul(spec, tau(big, c1), tau(big, c2)) != tau(big, c_group.mul[c1][c2])
         )),
         ("phi-hom-single-syllable", phi_hom_shorts()),
-        ("phi-homomorphism", phi_hom(drawn(lambda: (pair(), pair())), lambda x: phi(big, *x))),
+        ("phi-homomorphism", (
+            f"x = {x}, y = {y}" for x, y in drawn(lambda: (pair(), pair()))
+            if phi(big, *sd.mul(x, y)) != word_mul(spec, phi(big, *x), phi(big, *y))
+        )),
         ("phi-inv-after-phi", (
             f"x = {x}" for x in drawn(pair) if phi_inv(big, phi(big, *x)) != x
         )),

@@ -30,6 +30,7 @@ from amalg import (
     random_form,
     reduce_word,
     split_maps,
+    syllable_count,
     tau,
     to_word,
     trivial_action,
@@ -307,18 +308,26 @@ def test_verify_exact_sequence_rejects_a_negative_bound(big):
 
 
 def test_single_syllable_hom_check_evaluates_phi_once_per_short(big, monkeypatch):
-    calls = []
-    phi = iso.phi
+    calls, acts = [], []
+    phi, act = iso.phi, iso.BigAmalgam.act
 
     def counting_phi(b, form, c):
         calls.append((form, c))
         return phi(b, form, c)
 
+    def counting_act(b, c, form):
+        acts.append((c, form))
+        return act(b, c, form)
+
     monkeypatch.setattr(iso, "phi", counting_phi)
-    # 16 shorts on the flagship: phi of each once, then of each of the 256
-    # products; nothing else evaluates phi when no samples are drawn.
+    monkeypatch.setattr(iso.BigAmalgam, "act", counting_act)
+    # 16 shorts on the flagship: phi of each once, then of each of the 32
+    # distinct products of the 256 pairs, and each of the 2 actor elements
+    # on each of the 8 short forms once; nothing else evaluates phi or the
+    # action when no samples are drawn.
     assert verify_split(big, 0, 0).ok
-    assert len(calls) == 16 + 16 * 16
+    assert len(calls) == 16 + 32
+    assert len(acts) == 2 * 8
 
 
 def test_nu_and_tau_read_tables_and_never_encode(big, monkeypatch):
@@ -342,6 +351,11 @@ def test_nu_and_tau_tables_are_the_split_maps(big):
     section = split_maps(big.sd_d)[2]
     for c in big.actor.elements():
         assert tau(big, c) == NormalForm((), section.image[c])
+
+
+# A tail out of range names the subgroup and the amalgam it was read against.
+SMALL_SUB = "out of range for the subgroup Z2 of Z4 *[Z2] Z6"
+BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
 
 
 # An out-of-range syllable or actor element gets the message encode gives it.
@@ -375,11 +389,29 @@ def test_nu_and_tau_tables_are_the_split_maps(big):
      "element 99 out of range for side a of Z4:Z2 *[Z2:Z2] Z6:Z2"),
     (lambda big: mu(big, NormalForm(((SIDE_A, -1),), 0)),
      "element -1 out of range for side a of Z4:Z2 *[Z2:Z2] Z6:Z2"),
+    (lambda big: phi_inv(big, NormalForm((), -1)), f"tail -1 {BIG_SUB}"),
+    (lambda big: phi_inv(big, NormalForm((), 99)), f"tail 99 {BIG_SUB}"),
+    (lambda big: mu(big, NormalForm((), -1)), f"tail -1 {BIG_SUB}"),
+    (lambda big: mu(big, NormalForm((), 99)), f"tail 99 {BIG_SUB}"),
+    (lambda big: big.act(1, NormalForm((), -1)), f"tail -1 {SMALL_SUB}"),
+    (lambda big: word_inv(big.small, NormalForm((), -1)), f"tail -1 {SMALL_SUB}"),
+    (lambda big: nu(big, NormalForm((), -1)), f"tail -1 {SMALL_SUB}"),
+    (lambda big: nu(big, NormalForm((), 5)), f"tail 5 {SMALL_SUB}"),
+    (lambda big: phi(big, NormalForm((), -1), 0), f"tail -1 {SMALL_SUB}"),
+    (lambda big: syllable_count(big.small, NormalForm((), 2)), f"tail 2 {SMALL_SUB}"),
+    (lambda big: word_mul(big.small, NormalForm((), 0), NormalForm((), -1)),
+     f"tail -1 {SMALL_SUB}"),
+    (lambda big: word_mul(big.small, NormalForm((), -1), NormalForm(((SIDE_A, 1),), 0)),
+     f"tail -1 {SMALL_SUB}"),
 ], ids=["nu-a-negative", "nu-a-9", "nu-side-z", "tau-negative", "tau-5", "phi-negative", "phi-5",
         "act-negative", "act-5", "word-inv-side-z", "act-side-z",
         "word-inv-a-negative", "word-inv-a-9", "act-a-negative", "act-a-9",
         "phi-inv-side-z", "phi-inv-a-99", "phi-inv-a-negative",
-        "mu-side-z", "mu-a-99", "mu-a-negative"])
+        "mu-side-z", "mu-a-99", "mu-a-negative",
+        "phi-inv-tail-negative", "phi-inv-tail-99", "mu-tail-negative", "mu-tail-99",
+        "act-tail-negative", "word-inv-tail-negative", "nu-tail-negative", "nu-tail-5",
+        "phi-tail-negative", "syllable-count-tail-2", "word-mul-right-tail-negative",
+        "word-mul-left-tail-negative"])
 def test_iso_maps_report_out_of_range_input(big, call, message):
     with pytest.raises(ValueError) as err:
         call(big)

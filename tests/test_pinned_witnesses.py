@@ -21,7 +21,10 @@ from amalg import (
     NormalForm,
     check_group_axioms,
     enumerate_forms,
+    hom_from_generators,
     inversion_embedding_catalog,
+    make_action,
+    make_amalgam,
     make_big_amalgam,
     make_cyclic,
     trivial_action,
@@ -90,6 +93,62 @@ def test_split_records_with_nu_broken_on_long_forms(big, monkeypatch):
         ("mu-surjective", True, None),
         ("kernel-equals-image", True, None),
     ]
+
+
+def z9_over_z3_by_four():
+    """Z9 *[Z3] Z6 with C = Z3 acting on Z9 by the multiplier 4, trivially elsewhere."""
+    z3, z6, z9 = make_cyclic(3), make_cyclic(6), make_cyclic(9)
+    spec = make_amalgam(z9, z6, z3, hom_from_generators(z3, z9, {1: 3}),
+                        hom_from_generators(z3, z6, {1: 2}))
+    by_four = make_action(z3, z9, tuple(
+        tuple(pow(4, c, 9) * x % 9 for x in range(9)) for c in range(3)))
+    return make_big_amalgam(spec, CompatibleActionTriple(
+        by_four, trivial_action(z3, z6), trivial_action(z3, z3)))
+
+
+def test_split_records_with_phi_wrong_on_one_product(big, monkeypatch):
+    # phi is wrong only at one pair that is a product of two shorts, so the
+    # single-syllable check must find it at the first pair whose product it
+    # is: a table keyed without the actor element would miss or misplace it.
+    phi, tau = iso.phi, iso.tau
+    wrong_at = (NormalForm((("a", 1), ("b", 1)), 0), 1)
+
+    def phi_wrong_on_one_product(b, w, c):
+        g = phi(b, w, c)
+        return word_mul(b.spec, g, tau(b, 1)) if (w, c) == wrong_at else g
+
+    single = ("phi-hom-single-syllable", False,
+              "x = (NormalForm(head=(('a', 1),), tail=0), 0), "
+              "y = (NormalForm(head=(('b', 1),), tail=0), 1)")
+    expected = {
+        "Z4 *[Z2] Z6": [
+            ("mu-tau-identity", True, None),
+            ("tau-homomorphism", True, None),
+            single,
+            ("phi-homomorphism", False,
+             "x = (NormalForm(head=(('a', 1), ('b', 1)), tail=0), 1), "
+             "y = (NormalForm(head=(('b', 1), ('a', 1), ('b', 1)), tail=1), 1)"),
+            ("phi-inv-after-phi", True, None),
+            ("phi-after-phi-inv", True, None),
+            ("nu-homomorphism", True, None),
+        ],
+        "Z9 *[Z3] Z6": [
+            ("mu-tau-identity", True, None),
+            ("tau-homomorphism", True, None),
+            single,
+            ("phi-homomorphism", True, None),
+            ("phi-inv-after-phi", True, None),
+            ("phi-after-phi-inv", True, None),
+            ("nu-homomorphism", True, None),
+        ],
+    }
+    bigs = [big, z9_over_z3_by_four()]
+    # Unpatched first: no table may outlive the call and leak into the next.
+    for b in bigs:
+        assert verify_split(b, 20, 3).ok
+    monkeypatch.setattr(iso, "phi", phi_wrong_on_one_product)
+    for b in bigs:
+        assert triples(verify_split(b, 20, 3)) == expected[b.small.label]
 
 
 def test_exact_sequence_records_with_a_colliding_nu(big, monkeypatch):
