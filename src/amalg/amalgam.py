@@ -36,6 +36,7 @@ __all__ = [
     "make_amalgam",
     "identity_form",
     "reduce_word",
+    "check_form",
     "to_word",
     "word_mul",
     "word_inv",
@@ -66,7 +67,8 @@ class AmalgamSpec(NamedTuple):
     ``decomp_a[x] = (t, d)`` is the unique splitting x = t * iota_a(d) with t
     a representative; likewise for the b side.  ``tables_a`` is the tuple
     ``(a.mul, decomp_a, iota_a.image, a.identity)`` that reduction reads,
-    built once by ``make_amalgam``; likewise ``tables_b``.
+    built once by ``make_amalgam``; likewise ``tables_b``.  ``syllables``,
+    the frozenset of every syllable of either side, is read by ``check_form``.
     """
 
     a: FiniteGroup
@@ -81,6 +83,7 @@ class AmalgamSpec(NamedTuple):
     label: str
     tables_a: tuple
     tables_b: tuple
+    syllables: frozenset
 
 
 def _coset_data(
@@ -134,6 +137,7 @@ def make_amalgam(
         a, b, d, iota_a, iota_b, trans_a, trans_b, decomp_a, decomp_b, label,
         (a.mul, decomp_a, iota_a.image, a.identity),
         (b.mul, decomp_b, iota_b.image, b.identity),
+        frozenset([(SIDE_A, x) for x in a.elements()] + [(SIDE_B, x) for x in b.elements()]),
     )
 
 
@@ -177,16 +181,24 @@ def reduce_word(spec: AmalgamSpec, word: Iterable[Syllable]) -> NormalForm:
     return NormalForm(tuple(stack), tail)
 
 
-def to_word(spec: AmalgamSpec, form: NormalForm) -> tuple[Syllable, ...]:
-    """A normal form as a raw word: its head, then its tail as a side-a
-    syllable unless the tail is the identity.  This is the only place that
-    writes a tail as a syllable, and it reports a tail out of range."""
-    if form.tail == spec.d.identity:
-        return form.head
+def check_form(spec: AmalgamSpec, form: NormalForm) -> None:
+    """The one check of a form read from a caller: ``reduce_word``'s
+    ValueError for its first bad syllable, else one for a tail out of range."""
+    if not spec.syllables.issuperset(form.head):
+        reduce_word(spec, form.head)  # raises the error for the first bad syllable
     if not 0 <= form.tail < len(spec.d.mul):
         raise ValueError(
             f"tail {form.tail} out of range for the subgroup {spec.d.label} of {spec.label}"
         )
+
+
+def to_word(spec: AmalgamSpec, form: NormalForm) -> tuple[Syllable, ...]:
+    """A normal form, checked by ``check_form``, as a raw word: its head,
+    then its tail as a side-a syllable unless the tail is the identity.  This
+    is the only place that writes a tail as a syllable."""
+    check_form(spec, form)
+    if form.tail == spec.d.identity:
+        return form.head
     return form.head + ((SIDE_A, spec.iota_a.image[form.tail]),)
 
 
@@ -196,24 +208,21 @@ def syllable_count(spec: AmalgamSpec, form: NormalForm) -> int:
 
 def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
     """Product of two normal forms: fold v's head onto u, then multiply the
-    tails, in time O(|u| + |v|).  ``to_word`` reports a tail out of range."""
+    tails, in time O(|u| + |v|).  ``check_form`` checks u and v's tail, and
+    ``_append`` checks v's head as it folds it."""
+    check_form(spec, u)
     d_mul = spec.d.mul
-    if not (0 <= u.tail < len(d_mul) and 0 <= v.tail < len(d_mul)):
-        for w in (u, v):
-            to_word(spec, w)  # raises the error for the first tail out of range
+    if not 0 <= v.tail < len(d_mul):
+        check_form(spec, v)  # raises the error for v's tail
     stack = list(u.head)
     d = _append(spec, stack, u.tail, v.head)
     return NormalForm(tuple(stack), d_mul[d][v.tail])
 
 
 def word_inv(spec: AmalgamSpec, u: NormalForm) -> NormalForm:
-    """Inverse: reverse the embedded word and invert each syllable.  An
-    element out of range is left as it is, for ``reduce_word`` to report."""
-    inverted = []
-    for side, x in reversed(to_word(spec, u)):
-        inv = (spec.a if side == SIDE_A else spec.b).inv
-        inverted.append((side, inv[x] if 0 <= x < len(inv) else x))
-    return reduce_word(spec, inverted)
+    """Inverse: reverse the embedded word and invert each syllable."""
+    inv = {SIDE_A: spec.a.inv, SIDE_B: spec.b.inv}
+    return reduce_word(spec, [(s, inv[s][x]) for s, x in reversed(to_word(spec, u))])
 
 
 def word_eq(

@@ -31,6 +31,7 @@ from .amalgam import (
     AmalgamSpec,
     NormalForm,
     Syllable,
+    check_form,
     enumerate_forms,
     identity_form,
     make_amalgam,
@@ -120,16 +121,10 @@ class BigAmalgam(NamedTuple):
 
     def act(self, c: int, form: NormalForm) -> NormalForm:
         """The induced action of C on the small amalgam: syllable-wise, re-reduced.
-        An actor element out of range gets ``tau``'s error, and a syllable
-        element out of range is left as it is, for ``reduce_word`` to report."""
-        if not 0 <= c < len(self.taus):
-            tau(self, c)
-        row_a, row_b = self.acts.act_a.table[c], self.acts.act_b.table[c]
-        word = []
-        for s, x in to_word(self.small, form):
-            row = row_a if s == SIDE_A else row_b
-            word.append((s, row[x] if 0 <= x < len(row) else x))
-        return reduce_word(self.small, word)
+        An actor element out of range gets ``tau``'s error."""
+        tau(self, c)
+        row = {SIDE_A: self.acts.act_a.table[c], SIDE_B: self.acts.act_b.table[c]}
+        return reduce_word(self.small, [(s, row[s][x]) for s, x in to_word(self.small, form)])
 
     def side_sd(self, side: str) -> SemidirectGroup:
         return self.sd_a if side == SIDE_A else self.sd_b
@@ -160,7 +155,8 @@ def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmal
 
 
 class SmallSemidirect:
-    """(A *_D B) x| C: pairs (normal form, actor element)."""
+    """(A *_D B) x| C: pairs (normal form, actor element), each actor element
+    checked by ``tau``."""
 
     def __init__(self, big: BigAmalgam):
         self.big = big
@@ -174,6 +170,7 @@ class SmallSemidirect:
         self, x: tuple[NormalForm, int], y: tuple[NormalForm, int]
     ) -> tuple[NormalForm, int]:
         (w1, c1), (w2, c2) = x, y
+        tau(self.big, c2)  # reports c2 out of range; act reports c1
         return (
             word_mul(self.spec, w1, self.big.act(c1, w2)),
             self.actor.mul[c1][c2],
@@ -181,35 +178,25 @@ class SmallSemidirect:
 
     def inv(self, x: tuple[NormalForm, int]) -> tuple[NormalForm, int]:
         w, c = x
+        tau(self.big, c)  # reports c out of range
         ci = self.actor.inv[c]
         return self.big.act(ci, word_inv(self.spec, w)), ci
 
 
 def nu(big: BigAmalgam, form: NormalForm) -> NormalForm:
     """Embed a plain normal form: each syllable gains a trivial C-component,
-    read from the base embedding of its side.  ``encode`` reports a syllable
-    out of range, and ``reduce_word`` an unknown side."""
-    base_a, base_b = big.base_a, big.base_b
-    word = []
-    for s, t in to_word(big.small, form):
-        base = base_a if s == SIDE_A else base_b
-        word.append((s, base[t] if 0 <= t < len(base) else
-                     big.side_sd(s).encode(t, big.actor.identity)))
-    return reduce_word(big.spec, word)
+    read from the base embedding of its side."""
+    base = {SIDE_A: big.base_a, SIDE_B: big.base_b}
+    return reduce_word(big.spec, [(s, base[s][t]) for s, t in to_word(big.small, form)])
 
 
 def mu(big: BigAmalgam, form: NormalForm) -> int:
-    """Project onto C: multiply the C-components in word order.  A syllable
-    or tail that ``reduce_word`` or ``to_word`` rejects gets the same error."""
+    """Project onto C: multiply the C-components in word order."""
+    check_form(big.spec, form)
     c_group = big.actor
-    sizes = {SIDE_A: big.spec.a.order, SIDE_B: big.spec.b.order}
     acc = c_group.identity
     for s, x in form.head:
-        if not 0 <= x < sizes.get(s, 0):
-            reduce_word(big.spec, [(s, x)])  # raises the error for this syllable
         acc = c_group.mul[acc][big.side_sd(s).decode(x)[1]]
-    if not 0 <= form.tail < len(big.spec.d.mul):
-        to_word(big.spec, form)  # raises the error for this tail
     return c_group.mul[acc][big.sd_d.decode(form.tail)[1]]
 
 
@@ -230,21 +217,16 @@ def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
     """Psi, the inverse of phi: each syllable (n, c) is read as the pair
     ((n), c) of (A *_D B) x| C, and the pairs are multiplied out left to
     right, so the C-part gathered so far acts on each later plain syllable.
-    It reads only the actions, never ``tau``, and reduces once.  A syllable
-    or tail that ``reduce_word`` or ``to_word`` rejects gets the same error."""
+    It reads only the actions, never ``tau``, and reduces once."""
+    check_form(big.spec, g)
     c_group = big.actor
-    sizes = {SIDE_A: big.spec.a.order, SIDE_B: big.spec.b.order}
     act = {SIDE_A: big.acts.act_a.table, SIDE_B: big.acts.act_b.table}
     acc = c_group.identity
     word: list[Syllable] = []
     for s, x in g.head:
-        if not 0 <= x < sizes.get(s, 0):
-            reduce_word(big.spec, [(s, x)])  # raises the error for this syllable
         n, cx = big.side_sd(s).decode(x)
         word.append((s, act[s][acc][n]))
         acc = c_group.mul[acc][cx]
-    if not 0 <= g.tail < len(big.spec.d.mul):
-        to_word(big.spec, g)  # raises the error for this tail
     d, c0 = big.sd_d.decode(g.tail)
     form = reduce_word(big.small, word)
     tail = big.small.d.mul[form.tail][big.acts.act_d.table[acc][d]]

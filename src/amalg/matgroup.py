@@ -25,7 +25,9 @@ import sys
 from functools import lru_cache
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .amalgam import SIDE_A, SIDE_B, NormalForm, Syllable, make_amalgam, reduce_word, to_word
+from .amalgam import (
+    SIDE_A, SIDE_B, NormalForm, Syllable, check_form, make_amalgam, reduce_word, to_word,
+)
 from .groups import hom_from_generators, inversion_action, make_cyclic
 from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam, nu, phi
 from .products import SemidirectGroup
@@ -254,14 +256,17 @@ def build_dihedral_model() -> DihedralModel:
 def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
     """Exact matrix value of a letter word or a (small or dihedral) form.  A
     letter word is evaluated from generator powers alone, never through the
-    amalgam, so it can check the decomposition."""
+    amalgam, so it can check the decomposition; a form is checked first."""
     if isinstance(word, Glt2Word):
         letters = {name: _letter(name) for name, _ in word.letters}
         return _table_product(letters, word.letters)
+    model = build_dihedral_model()
     if isinstance(word, DihedralAmalgamForm):
-        return build_dihedral_model().big_mats.evaluate(word.form)
+        check_form(model.big.spec, word.form)
+        return model.big_mats.evaluate(word.form)
     if isinstance(word, NormalForm):
-        return build_dihedral_model().small_mats.evaluate(word)
+        check_form(model.big.small, word)
+        return model.small_mats.evaluate(word)
     raise TypeError(f"cannot evaluate {type(word).__name__}")
 
 

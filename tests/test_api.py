@@ -3,7 +3,7 @@
 import subprocess
 import sys
 
-# 68 functions, classes and constants, plus the 6 submodules they come from.
+# 69 functions, classes and constants, plus the 6 submodules they come from.
 PUBLIC_NAMES = [
     "AmalgamSpec",
     "BigAmalgam",
@@ -25,6 +25,7 @@ PUBLIC_NAMES = [
     "SmallSemidirect",
     "amalgam",
     "build_dihedral_model",
+    "check_form",
     "check_group_axioms",
     "element_order",
     "enumerate_forms",

@@ -3,18 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amalg.iso as iso
 from amalg import (
     SIDE_A,
     SIDE_B,
     CompatibleActionTriple,
+    DihedralAmalgamForm,
     FiniteGroup,
     NormalForm,
     SemidirectGroup,
     SmallSemidirect,
     check_group_axioms,
     enumerate_forms,
+    evaluate_word,
+    form_to_letters,
     identity_form,
     identity_hom,
     inversion_action,
@@ -29,6 +34,7 @@ from amalg import (
     phi_inv,
     random_form,
     reduce_word,
+    small_form_to_letters,
     split_maps,
     syllable_count,
     tau,
@@ -358,10 +364,14 @@ SMALL_SUB = "out of range for the subgroup Z2 of Z4 *[Z2] Z6"
 BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
 
 
-# An out-of-range syllable or actor element gets the message encode gives it.
+# A form is checked by check_form against the amalgam it is read from: a bad
+# syllable gets reduce_word's message and a bad tail the tail message.  An
+# actor element out of range gets the message encode gives it.
 @pytest.mark.parametrize("call, message", [
-    (lambda big: nu(big, NormalForm(((SIDE_A, -1),), 0)), "pair (-1, 0) out of range for Z4:Z2"),
-    (lambda big: nu(big, NormalForm(((SIDE_A, 9),), 0)), "pair (9, 0) out of range for Z4:Z2"),
+    (lambda big: nu(big, NormalForm(((SIDE_A, -1),), 0)),
+     "element -1 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: nu(big, NormalForm(((SIDE_A, 9),), 0)),
+     "element 9 out of range for side a of Z4 *[Z2] Z6"),
     (lambda big: nu(big, NormalForm((("z", 1),), 0)), "unknown side 'z'"),
     (lambda big: tau(big, -1), "pair (0, -1) out of range for Z2:Z2"),
     (lambda big: tau(big, 5), "pair (0, 5) out of range for Z2:Z2"),
@@ -403,6 +413,33 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
      f"tail -1 {SMALL_SUB}"),
     (lambda big: word_mul(big.small, NormalForm((), -1), NormalForm(((SIDE_A, 1),), 0)),
      f"tail -1 {SMALL_SUB}"),
+    (lambda big: word_mul(big.small, NormalForm(((SIDE_A, -1),), 0),
+                          NormalForm(((SIDE_A, 1),), 0)),
+     "element -1 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: word_mul(big.small, NormalForm((("z", 7),), 0), NormalForm(((SIDE_B, 1),), 0)),
+     "unknown side 'z'"),
+    (lambda big: word_mul(big.small, NormalForm(((SIDE_A, 9),), 0), NormalForm(((SIDE_A, 1),), 0)),
+     "element 9 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: evaluate_word(NormalForm(((SIDE_A, -1),), 0)),
+     "element -1 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: evaluate_word(NormalForm(((SIDE_A, 9),), 0)),
+     "element 9 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: evaluate_word(NormalForm((("z", 1),), 0)), "unknown side 'z'"),
+    (lambda big: evaluate_word(NormalForm((), -1)), f"tail -1 {SMALL_SUB}"),
+    (lambda big: evaluate_word(NormalForm((), 5)), f"tail 5 {SMALL_SUB}"),
+    (lambda big: evaluate_word(DihedralAmalgamForm(NormalForm((), -1))), f"tail -1 {BIG_SUB}"),
+    (lambda big: SmallSemidirect(big).mul((NormalForm((), 0), 0), (NormalForm((), 0), -1)),
+     "pair (0, -1) out of range for Z2:Z2"),
+    (lambda big: SmallSemidirect(big).mul((NormalForm((), 0), 0), (NormalForm((), 0), 2)),
+     "pair (0, 2) out of range for Z2:Z2"),
+    (lambda big: SmallSemidirect(big).inv((NormalForm((), 0), -1)),
+     "pair (0, -1) out of range for Z2:Z2"),
+    (lambda big: form_to_letters(DihedralAmalgamForm(NormalForm(((SIDE_A, -1),), 0))),
+     "element -1 out of range for side a of Z4:Z2 *[Z2:Z2] Z6:Z2"),
+    (lambda big: form_to_letters(DihedralAmalgamForm(NormalForm((("z", 1),), 0))),
+     "unknown side 'z'"),
+    (lambda big: small_form_to_letters(NormalForm(((SIDE_A, 9),), 0)),
+     "element 9 out of range for side a of Z4 *[Z2] Z6"),
 ], ids=["nu-a-negative", "nu-a-9", "nu-side-z", "tau-negative", "tau-5", "phi-negative", "phi-5",
         "act-negative", "act-5", "word-inv-side-z", "act-side-z",
         "word-inv-a-negative", "word-inv-a-9", "act-a-negative", "act-a-9",
@@ -411,8 +448,65 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
         "phi-inv-tail-negative", "phi-inv-tail-99", "mu-tail-negative", "mu-tail-99",
         "act-tail-negative", "word-inv-tail-negative", "nu-tail-negative", "nu-tail-5",
         "phi-tail-negative", "syllable-count-tail-2", "word-mul-right-tail-negative",
-        "word-mul-left-tail-negative"])
+        "word-mul-left-tail-negative", "word-mul-left-a-negative", "word-mul-left-side-z",
+        "word-mul-left-a-9", "evaluate-a-negative", "evaluate-a-9", "evaluate-side-z",
+        "evaluate-tail-negative", "evaluate-tail-5", "evaluate-dihedral-tail-negative",
+        "sd-mul-negative", "sd-mul-2", "sd-inv-negative", "form-to-letters-a-negative",
+        "form-to-letters-side-z", "small-form-to-letters-a-9"])
 def test_iso_maps_report_out_of_range_input(big, call, message):
     with pytest.raises(ValueError) as err:
         call(big)
+    assert str(err.value) == message
+
+
+# Every public reader of a form, with whether it reads the form against the
+# big amalgam (else the small one); the third argument is a valid form of the
+# same amalgam for the binary readers.
+FORM_READERS = {
+    "to_word": (False, lambda big, w, v: to_word(big.small, w)),
+    "word_mul-left": (False, lambda big, w, v: word_mul(big.small, w, v)),
+    "word_mul-right": (False, lambda big, w, v: word_mul(big.small, v, w)),
+    "word_inv": (False, lambda big, w, v: word_inv(big.small, w)),
+    "syllable_count": (False, lambda big, w, v: syllable_count(big.small, w)),
+    "act": (False, lambda big, w, v: big.act(1, w)),
+    "nu": (False, lambda big, w, v: nu(big, w)),
+    "phi": (False, lambda big, w, v: phi(big, w, 1)),
+    "evaluate_word": (False, lambda big, w, v: evaluate_word(w)),
+    "mu": (True, lambda big, w, v: mu(big, w)),
+    "phi_inv": (True, lambda big, w, v: phi_inv(big, w)),
+    "evaluate_word-dihedral": (True, lambda big, w, v: evaluate_word(DihedralAmalgamForm(w))),
+}
+
+
+def out_of_range(order):
+    return st.integers(max_value=-1) | st.integers(min_value=order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader=st.sampled_from(sorted(FORM_READERS)), seed=st.integers(0, 2**32), data=st.data())
+def test_every_reader_reports_a_corrupted_form(big, reader, seed, data):
+    # One syllable anywhere in a drawn head, or the tail, is made bad, so a
+    # bad syllable below the top of a head is drawn too.
+    on_big, call = FORM_READERS[reader]
+    spec = big.spec if on_big else big.small
+    rng = random.Random(seed)
+    form, other = random_form(rng, spec, 6), random_form(rng, spec, 6)
+    what = data.draw(st.sampled_from(["side", "element", "tail"] if form.head else ["tail"]))
+    if what == "tail":
+        tail = data.draw(out_of_range(spec.d.order))
+        form = NormalForm(form.head, tail)
+        message = f"tail {tail} out of range for the subgroup {spec.d.label} of {spec.label}"
+    else:
+        i = data.draw(st.integers(0, len(form.head) - 1))
+        side, x = form.head[i]
+        if what == "side":
+            side = data.draw(st.text(max_size=2).filter(lambda s: s not in (SIDE_A, SIDE_B)))
+        else:
+            x = data.draw(out_of_range((spec.a if side == SIDE_A else spec.b).order))
+        form = NormalForm(form.head[:i] + ((side, x),) + form.head[i + 1:], form.tail)
+        with pytest.raises(ValueError) as err:
+            reduce_word(spec, [(side, x)])
+        message = str(err.value)
+    with pytest.raises(ValueError) as err:
+        call(big, form, other)
     assert str(err.value) == message
