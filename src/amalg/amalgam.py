@@ -230,9 +230,11 @@ def word_eq(
     u: tuple[Syllable, ...] | NormalForm,
     v: tuple[Syllable, ...] | NormalForm,
 ) -> bool:
-    """Whether two words (raw or reduced) name the same group element."""
+    """Whether two words (raw, or normal forms checked first) name the same element."""
     nu = u if isinstance(u, NormalForm) else reduce_word(spec, u)
     nv = v if isinstance(v, NormalForm) else reduce_word(spec, v)
+    check_form(spec, nu)
+    check_form(spec, nv)
     return nu == nv
 
 

@@ -102,7 +102,8 @@ class BigAmalgam(NamedTuple):
     ``make_big_amalgam`` builds it once ``acts`` is checked compatible with
     ``small``, which ``act`` relies on.  It also tabulates, for ``nu`` and
     ``tau``, the base embeddings n -> (n, e_C) of the two sides and the
-    forms tau(c) of the section c -> (e_D, c).
+    forms tau(c) of the section c -> (e_D, c).  The three products share C,
+    so a big syllable or tail x of either side is the pair divmod(x, |C|).
     """
 
     small: AmalgamSpec
@@ -125,9 +126,6 @@ class BigAmalgam(NamedTuple):
         tau(self, c)
         row = {SIDE_A: self.acts.act_a.table[c], SIDE_B: self.acts.act_b.table[c]}
         return reduce_word(self.small, [(s, row[s][x]) for s, x in to_word(self.small, form)])
-
-    def side_sd(self, side: str) -> SemidirectGroup:
-        return self.sd_a if side == SIDE_A else self.sd_b
 
 
 def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmalgam:
@@ -194,10 +192,11 @@ def mu(big: BigAmalgam, form: NormalForm) -> int:
     """Project onto C: multiply the C-components in word order."""
     check_form(big.spec, form)
     c_group = big.actor
+    q = c_group.order
     acc = c_group.identity
-    for s, x in form.head:
-        acc = c_group.mul[acc][big.side_sd(s).decode(x)[1]]
-    return c_group.mul[acc][big.sd_d.decode(form.tail)[1]]
+    for _, x in form.head:
+        acc = c_group.mul[acc][x % q]
+    return c_group.mul[acc][form.tail % q]
 
 
 def tau(big: BigAmalgam, c: int) -> NormalForm:
@@ -220,14 +219,15 @@ def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
     It reads only the actions, never ``tau``, and reduces once."""
     check_form(big.spec, g)
     c_group = big.actor
+    q = c_group.order
     act = {SIDE_A: big.acts.act_a.table, SIDE_B: big.acts.act_b.table}
     acc = c_group.identity
     word: list[Syllable] = []
     for s, x in g.head:
-        n, cx = big.side_sd(s).decode(x)
+        n, cx = divmod(x, q)
         word.append((s, act[s][acc][n]))
         acc = c_group.mul[acc][cx]
-    d, c0 = big.sd_d.decode(g.tail)
+    d, c0 = divmod(g.tail, q)
     form = reduce_word(big.small, word)
     tail = big.small.d.mul[form.tail][big.acts.act_d.table[acc][d]]
     return NormalForm(form.head, tail), c_group.mul[acc][c0]

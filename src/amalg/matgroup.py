@@ -208,9 +208,11 @@ class DihedralModel(NamedTuple):
     big_mats: SyllableMatrices
 
     def side_matrix(self, side: str, x: int) -> Mat2:
-        return (self.big_mats.a if side == SIDE_A else self.big_mats.b)[x]
+        check_form(self.big.spec, NormalForm(((side, x),), self.big.spec.d.identity))
+        return {SIDE_A: self.big_mats.a, SIDE_B: self.big_mats.b}[side][x]
 
     def sub_matrix(self, x: int) -> Mat2:
+        check_form(self.big.spec, NormalForm((), x))
         return self.big_mats.d[x]
 
 
@@ -340,12 +342,13 @@ def gl2_decompose(m: Mat2) -> DihedralAmalgamForm:
 def word_to_form(word: Glt2Word) -> DihedralAmalgamForm:
     """Reduce a letter word directly into the dihedral amalgam."""
     big = build_dihedral_model().big
+    base = {SIDE_A: big.base_a, SIDE_B: big.base_b}
     syls: list[Syllable] = []
     for name, k in word.letters:
         letter = _letter(name)
         if letter.side:
             side, x = letter.syllable(k)
-            syls.append((side, big.side_sd(side).encode(x, 0)))
+            syls.append((side, base[side][x]))
         else:  # j generates the actor: (0, 1) on side a
             syls.append((SIDE_A, big.sd_a.encode(0, k % len(letter.powers))))
     return DihedralAmalgamForm(reduce_word(big.spec, syls))
@@ -355,9 +358,10 @@ def form_to_letters(form: DihedralAmalgamForm) -> Glt2Word:
     """Render a dihedral form as a letter word, folding adjacent letters: a
     syllable (n, c) is its side's letter to the n, then j to the c."""
     big = build_dihedral_model().big
+    q = big.actor.order
     raw: list[tuple[str, int]] = []
     for side, x in to_word(big.spec, form.form):
-        n, c = big.side_sd(side).decode(x)
+        n, c = divmod(x, q)
         raw.append((_SIDE_LETTER[side], n))
         if c:
             raw.append(("j", c))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalg import Mat2
+import amalg.matgroup as matgroup
+from amalg import SIDE_A, Mat2, NormalForm
 from amalg.cli import (
     ParseError,
     parse_amalgam_word,
@@ -331,6 +332,14 @@ def test_gl2_decompose_eval_round_trip(capsys):
     word = capsys.readouterr().out.strip()
     assert run(["gl2", "eval", word]) == 0
     assert capsys.readouterr().out.strip() == "[[2,3],[1,2]]"
+
+
+def test_a_failed_evaluation_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(matgroup, "phi", lambda big, form, c: NormalForm(((SIDE_A, 1),), 0))
+    assert run(["gl2", "decompose", "[[0,-1],[1,1]]"]) == 1
+    assert capsys.readouterr().err == (
+        "assertion failed: decomposition of Mat2(a=0, b=-1, c=1, d=1) failed its evaluation check\n"
+    )
 
 
 def test_gl2_decompose_identity_gives_empty_word(capsys):

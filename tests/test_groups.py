@@ -285,6 +285,15 @@ def test_hom_from_generators_rejects_an_image_out_of_range():
     assert str(err.value) == "image 9 out of range for Z4"
 
 
+def test_hom_from_generators_rejects_an_identity_generator_mapped_elsewhere():
+    z2g = FiniteGroup("Z2g", ((0, 1), (1, 0)), 0, (0, 1), (0, 1))
+    with pytest.raises(ValueError) as err:
+        hom_from_generators(z2g, make_cyclic(2), {0: 1, 1: 1})
+    assert str(err.value) == (
+        "not a homomorphism Z2g -> Z2: generator 0 is the identity but maps elsewhere"
+    )
+
+
 def test_hom_from_generators_requires_exact_generator_keys():
     z4 = make_cyclic(4)
     with pytest.raises(ValueError, match="generator images"):
@@ -366,6 +375,11 @@ def test_find_isomorphism_distinguishes_z4_from_klein_four():
 
 def test_find_isomorphism_rejects_different_orders():
     assert find_isomorphism(make_cyclic(4), make_cyclic(6)) is None
+
+
+def test_find_isomorphism_between_groups_with_no_generators():
+    trivial = FiniteGroup("T", ((0,),), 0, (0,), ())
+    assert find_isomorphism(make_cyclic(1), trivial).image == (0,)
 
 
 def test_find_isomorphism_returns_the_first_match_in_generator_order():

@@ -16,6 +16,7 @@ from amalg import (
     NormalForm,
     SemidirectGroup,
     SmallSemidirect,
+    build_dihedral_model,
     check_group_axioms,
     enumerate_forms,
     evaluate_word,
@@ -42,6 +43,7 @@ from amalg import (
     trivial_action,
     verify_exact_sequence,
     verify_split,
+    word_eq,
     word_inv,
     word_mul,
 )
@@ -352,7 +354,8 @@ def test_nu_and_tau_read_tables_and_never_encode(big, monkeypatch):
 
 def test_nu_and_tau_tables_are_the_split_maps(big):
     for form in enumerate_forms(big.small, 1):
-        lifted = [(s, split_maps(big.side_sd(s))[0].image[x]) for s, x in to_word(big.small, form)]
+        lifted = [(s, split_maps({SIDE_A: big.sd_a, SIDE_B: big.sd_b}[s])[0].image[x])
+                  for s, x in to_word(big.small, form)]
         assert nu(big, form) == reduce_word(big.spec, lifted)
     section = split_maps(big.sd_d)[2]
     for c in big.actor.elements():
@@ -366,7 +369,8 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
 
 # A form is checked by check_form against the amalgam it is read from: a bad
 # syllable gets reduce_word's message and a bad tail the tail message.  An
-# actor element out of range gets the message encode gives it.
+# actor element out of range gets the message encode gives it.  side_matrix
+# and sub_matrix check their argument as a one-syllable or head-less form.
 @pytest.mark.parametrize("call, message", [
     (lambda big: nu(big, NormalForm(((SIDE_A, -1),), 0)),
      "element -1 out of range for side a of Z4 *[Z2] Z6"),
@@ -440,6 +444,18 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
      "unknown side 'z'"),
     (lambda big: small_form_to_letters(NormalForm(((SIDE_A, 9),), 0)),
      "element 9 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: build_dihedral_model().side_matrix("z", 1), "unknown side 'z'"),
+    (lambda big: build_dihedral_model().side_matrix(SIDE_A, -1),
+     "element -1 out of range for side a of Z4:Z2 *[Z2:Z2] Z6:Z2"),
+    (lambda big: build_dihedral_model().side_matrix(SIDE_A, 99),
+     "element 99 out of range for side a of Z4:Z2 *[Z2:Z2] Z6:Z2"),
+    (lambda big: build_dihedral_model().sub_matrix(-1), f"tail -1 {BIG_SUB}"),
+    (lambda big: word_eq(big.small, NormalForm(((SIDE_A, 9),), 0), NormalForm(((SIDE_A, 9),), 0)),
+     "element 9 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: word_eq(big.small, NormalForm((("z", 1),), 0), NormalForm((("z", 1),), 0)),
+     "unknown side 'z'"),
+    (lambda big: word_eq(big.small, NormalForm((), 7), NormalForm((), 7)), f"tail 7 {SMALL_SUB}"),
+    (lambda big: word_eq(big.small, [(SIDE_A, 1)], NormalForm((), 7)), f"tail 7 {SMALL_SUB}"),
 ], ids=["nu-a-negative", "nu-a-9", "nu-side-z", "tau-negative", "tau-5", "phi-negative", "phi-5",
         "act-negative", "act-5", "word-inv-side-z", "act-side-z",
         "word-inv-a-negative", "word-inv-a-9", "act-a-negative", "act-a-9",
@@ -452,7 +468,9 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
         "word-mul-left-a-9", "evaluate-a-negative", "evaluate-a-9", "evaluate-side-z",
         "evaluate-tail-negative", "evaluate-tail-5", "evaluate-dihedral-tail-negative",
         "sd-mul-negative", "sd-mul-2", "sd-inv-negative", "form-to-letters-a-negative",
-        "form-to-letters-side-z", "small-form-to-letters-a-9"])
+        "form-to-letters-side-z", "small-form-to-letters-a-9", "side-matrix-side-z",
+        "side-matrix-a-negative", "side-matrix-a-99", "sub-matrix-negative",
+        "word-eq-a-9", "word-eq-side-z", "word-eq-tail-7", "word-eq-raw-and-tail-7"])
 def test_iso_maps_report_out_of_range_input(big, call, message):
     with pytest.raises(ValueError) as err:
         call(big)

@@ -60,6 +60,9 @@ def test_matrix_arithmetic():
     assert mat_pow(m, 0) == IDENTITY
     assert mat_pow(m, 3) == m * m * m
     assert mat_pow(m, -2) == mat_inv(m * m)
+    # Determinant -1: the adjugate changes sign.
+    assert mat_inv(J) == J
+    assert S * J * mat_inv(S * J) == IDENTITY
 
 
 def test_det_is_multiplicative():
@@ -100,7 +103,7 @@ def test_model_matrix_images(model):
 
 def test_side_matrix_is_a_homomorphism(model):
     for side in (SIDE_A, SIDE_B):
-        flat = model.big.side_sd(side).flat
+        flat = {SIDE_A: model.big.sd_a, SIDE_B: model.big.sd_b}[side].flat
         for x in flat.elements():
             for y in flat.elements():
                 lhs = model.side_matrix(side, flat.mul[x][y])

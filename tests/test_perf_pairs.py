@@ -1,0 +1,53 @@
+"""The pair summary of tools/perf_pairs.py, on fixed numbers (no perfbench run)."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "perf_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("perf_pairs", _PATH)
+perf_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(perf_pairs)
+
+OPS = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}
+P50 = {"name": "p50_ms", "unit": "ms", "better": "lower", "bound": 0.24}
+
+
+def test_summary_of_a_higher_is_better_metric():
+    parent = [10.0, 12.0, 11.0, 13.0, 9.0]
+    change = [11.0, 12.0, 10.0, 14.0, 9.5]
+    assert perf_pairs.summarize(OPS, parent, change) == {
+        "parent_median": 11.0,
+        "parent_quartiles": (10.0, 12.0),
+        "change_median": 11.0,
+        "wins": 3,  # the tie at 12.0 counts for neither side
+        "pairs": 5,
+        "within_bound": True,
+    }
+
+
+def test_summary_of_a_lower_is_better_metric_outside_its_bound():
+    parent = [1.0, 1.0, 1.2, 0.8]
+    change = [1.3, 1.2, 1.4, 0.7]
+    s = perf_pairs.summarize(P50, parent, change)
+    assert s["parent_median"] == 1.0 and s["change_median"] == 1.25
+    assert s["parent_quartiles"] == (0.95, 1.05)
+    assert s["wins"] == 1
+    assert s["within_bound"] is False  # 25% slower against a bound of 24%
+    assert perf_pairs.summarize(P50, parent, [1.24, 1.2, 1.4, 0.7])["within_bound"] is True
+
+
+def test_report_lists_every_run_and_the_verdicts():
+    parent = [{"ops_per_s": 10.0, "p50_ms": 1.0}, {"ops_per_s": 12.0, "p50_ms": 1.2}]
+    change = [{"ops_per_s": 6.0, "p50_ms": 0.9}, {"ops_per_s": 7.0, "p50_ms": 1.1}]
+    assert perf_pairs.report([OPS, P50], parent, change).splitlines() == [
+        "ops_per_s (1/s, higher is better, bound 0.2)",
+        "  parent: 10 12",
+        "  change: 6 7",
+        "  parent median 11 [10.5, 11.5] -> change median 6.5 (-40.9%)",
+        "  change wins 0 of 2 pairs; within bound: NO",
+        "p50_ms (ms, lower is better, bound 0.24)",
+        "  parent: 1 1.2",
+        "  change: 0.9 1.1",
+        "  parent median 1.1 [1.05, 1.15] -> change median 1 (-9.1%)",
+        "  change wins 2 of 2 pairs; within bound: yes",
+    ]

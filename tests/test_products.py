@@ -143,6 +143,13 @@ def test_functor_rejects_non_equivariant_hom():
         functor_on_hom(identity_hom(z4), z2, act_n, act_m)
 
 
+def test_functor_rejects_an_action_on_the_wrong_space():
+    z2, z4 = make_cyclic(2), make_cyclic(4)
+    with pytest.raises(ValueError) as err:
+        functor_on_hom(identity_hom(z2), z2, inversion_action(z2, z4), inversion_action(z2, z2))
+    assert str(err.value) == "actions do not match the hom's source and target"
+
+
 def test_functor_rejects_foreign_actor():
     z2, z3, z4 = make_cyclic(2), make_cyclic(3), make_cyclic(4)
     act = inversion_action(z2, z4)

@@ -1,0 +1,102 @@
+"""Alternating perfbench pairs of a parent and a change checkout.
+
+    python3 tools/perf_pairs.py PARENT CHANGE --workload verify --pairs 10 \\
+        --seconds 40 --seed 701
+
+Pair i runs ``python3 perfbench/run.py --workload W --seed S+i --seconds T
+--trace 0`` once in each checkout, both with seed S+i; the parent runs first
+in even pairs and the change first in odd ones.  Each run's ``metrics`` are
+read from its last output line.  For each end-to-end metric of the change's
+``BENCHMARK.json`` the summary gives every run on each side, the parent's
+median and quartiles, the change's median, how many pairs the change wins
+(ties count for neither side) and whether its median is within the metric's
+relative bound of the parent's.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """One perfbench run in ``checkout``: the values of its last line's metrics."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    ).stdout
+    metrics = json.loads(out.strip().splitlines()[-1])["metrics"]
+    return {name: m["value"] for name, m in metrics.items()}
+
+
+def summarize(
+    spec: dict, parent: list[float], change: list[float]
+) -> dict[str, object]:
+    """Compare paired runs of one metric; ``spec`` is its ``end_to_end`` entry
+    of BENCHMARK.json (``better`` is "higher" or "lower", ``bound`` relative).
+    Quartiles are ``statistics.quantiles``' inclusive ones."""
+    sign = 1 if spec["better"] == "higher" else -1
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    return {
+        "parent_median": p_med,
+        "parent_quartiles": (q1, q3),
+        "change_median": c_med,
+        "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "pairs": len(parent),
+        "within_bound": sign * (p_med - c_med) <= spec["bound"] * abs(p_med),
+    }
+
+
+def report(specs: list[dict], parent: list[dict], change: list[dict]) -> str:
+    """The summary table of every end-to-end metric, one block per metric."""
+    lines = []
+    for spec in specs:
+        name = spec["name"]
+        p, c = [r[name] for r in parent], [r[name] for r in change]
+        s = summarize(spec, p, c)
+        q1, q3 = s["parent_quartiles"]
+        rel = (s["change_median"] / s["parent_median"] - 1) if s["parent_median"] else 0.0
+        lines += [
+            f"{name} ({spec['unit']}, {spec['better']} is better, bound {spec['bound']})",
+            "  parent: " + " ".join(f"{x:.4g}" for x in p),
+            "  change: " + " ".join(f"{x:.4g}" for x in c),
+            f"  parent median {s['parent_median']:.4g} [{q1:.4g}, {q3:.4g}]"
+            f" -> change median {s['change_median']:.4g} ({rel:+.1%})",
+            f"  change wins {s['wins']} of {s['pairs']} pairs;"
+            f" within bound: {'yes' if s['within_bound'] else 'NO'}",
+        ]
+    return "\n".join(lines)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, to give quartiles")
+    specs = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    runs: dict[Path, list[dict]] = {args.parent: [], args.change: []}
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
+        for checkout in order:
+            runs[checkout].append(run_once(checkout, args.workload, seed, args.seconds))
+            print(f"pair {i + 1}/{args.pairs} seed {seed} {checkout}: done", file=sys.stderr)
+    print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs,"
+          f" seeds {args.seed}-{args.seed + args.pairs - 1}")
+    print(report(specs, runs[args.parent], runs[args.change]))
+
+
+if __name__ == "__main__":
+    main()
