@@ -1,6 +1,8 @@
 """The induced actor action, the lifted amalgam, and the distribution map."""
 
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from amalg import (
     enumerate_forms,
     evaluate_word,
     form_to_letters,
+    hom_from_generators,
     identity_form,
     identity_hom,
     inversion_action,
@@ -47,6 +50,8 @@ from amalg import (
     word_inv,
     word_mul,
 )
+
+from test_pinned_witnesses import z9_over_z3_by_four
 
 
 def inversion_triple(spec):
@@ -336,6 +341,101 @@ def test_single_syllable_hom_check_evaluates_phi_once_per_short(big, monkeypatch
     assert verify_split(big, 0, 0).ok
     assert len(calls) == 16 + 32
     assert len(acts) == 2 * 8
+
+
+def z40_over_z2_inverted():
+    """Z40 *[Z2] Z6 under inversion: perfbench's largest verify instance."""
+    z2, z6, z40 = make_cyclic(2), make_cyclic(6), make_cyclic(40)
+    spec = make_amalgam(z40, z6, z2, hom_from_generators(z2, z40, {1: 20}),
+                        hom_from_generators(z2, z6, {1: 3}))
+    return make_big_amalgam(spec, inversion_triple(spec))
+
+
+@pytest.mark.parametrize("instance, calls", [("flagship", 148), ("Z40 *[Z2] Z6", 1444)])
+def test_single_syllable_hom_proof_counts_its_products(big, monkeypatch, instance, calls):
+    b = big if instance == "flagship" else z40_over_z2_inverted()
+    counted = []
+    word_mul = iso.word_mul
+
+    def counting_word_mul(spec, u, v):
+        if spec is b.spec:
+            counted.append((u, v))
+        return word_mul(spec, u, v)
+
+    monkeypatch.setattr(iso, "word_mul", counting_word_mul)
+    # 4 for tau-homomorphism, one per phi (16 + 32 on the flagship, 88 + 392
+    # on Z40 *[Z2] Z6) and one per Cayley edge: two generators of each
+    # factor product times 24 (240) elements of each closure.  The pairwise
+    # scan alone would make 2|S|^2 of them: 308 and 8,228 calls in all.
+    assert verify_split(b, 0, 0).ok
+    assert len(counted) == calls
+
+
+def _census_instances(monkeypatch):
+    """Every compatible instance of perfbench's verify census, with its first
+    embeddings and each of its action triples; the census is only read."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workload = importlib.import_module("wl_verify").Verify()
+    workload.setup()
+    for inst in workload.census:
+        if inst.compatible:
+            small = make_amalgam(inst.a, inst.b, inst.d, inst.iotas_a[0], inst.iotas_b[0])
+            for acts in inst.acts:
+                yield make_big_amalgam(small, acts)
+
+
+def _edge_cases(small_spec):
+    """D = Z1; A = D, with no side-a representatives; an actor with no
+    generators; and both, so that A x| C has no generators either."""
+    z1, z2, z3, z4 = (make_cyclic(n) for n in (1, 2, 3, 4))
+    over_z1 = make_amalgam(z2, z3, z1, hom_from_generators(z1, z2, {}),
+                           hom_from_generators(z1, z3, {}))
+    a_is_d = make_amalgam(z2, z4, z2, identity_hom(z2), hom_from_generators(z2, z4, {1: 2}))
+    z1_in_z1 = make_amalgam(z1, z3, z1, identity_hom(z1), hom_from_generators(z1, z3, {}))
+    for spec in (over_z1, a_is_d):
+        yield make_big_amalgam(spec, inversion_triple(spec))
+    for spec in (small_spec, z1_in_z1):
+        yield make_big_amalgam(spec, CompatibleActionTriple(
+            trivial_action(z1, spec.a), trivial_action(z1, spec.b), trivial_action(z1, spec.d)))
+
+
+def _scanned(b, monkeypatch):
+    """verify_split's records with the edge proof forced to fail."""
+    with monkeypatch.context() as m:
+        m.setattr(iso, "_phi_hom_on_edges", lambda *args: False)
+        return verify_split(b, 0, 0)
+
+
+def test_edge_proof_agrees_with_the_pair_scan(small_spec, monkeypatch):
+    bigs = [*_census_instances(monkeypatch), *_edge_cases(small_spec)]
+    assert len(bigs) == 33 + 4
+    assert sum(b.sd_a.flat.generators == () for b in bigs) == 1
+    for b in bigs:
+        report = verify_split(b, 0, 0)
+        assert report.ok, b.spec.label
+        assert _scanned(b, monkeypatch) == report
+
+
+@pytest.mark.parametrize("instance, products", [("flagship", 32), ("Z9 *[Z3] Z6", 72)])
+def test_edge_proof_agrees_with_the_pair_scan_on_a_wrong_phi(
+    big, monkeypatch, instance, products
+):
+    b = big if instance == "flagship" else z9_over_z3_by_four()
+    sd = SmallSemidirect(b)
+    shorts = [(w, c) for w in enumerate_forms(b.small, 1) for c in b.actor.elements()]
+    wrong_ats = list(dict.fromkeys(sd.mul(x, y) for x in shorts for y in shorts))
+    assert len(wrong_ats) == products
+    phi = iso.phi
+    for wrong_at in wrong_ats:
+        def phi_wrong_at_one_element(b, w, c, wrong_at=wrong_at):
+            g = phi(b, w, c)
+            return word_mul(b.spec, g, tau(b, 1)) if (w, c) == wrong_at else g
+
+        monkeypatch.setattr(iso, "phi", phi_wrong_at_one_element)
+        report = verify_split(b, 0, 0)
+        assert report.records[2].check == "phi-hom-single-syllable"
+        assert not report.records[2].ok, wrong_at
+        assert _scanned(b, monkeypatch) == report, wrong_at
 
 
 def test_nu_and_tau_read_tables_and_never_encode(big, monkeypatch):

@@ -1,6 +1,10 @@
-"""The pair summary of tools/perf_pairs.py, on fixed numbers (no perfbench run)."""
+"""The pair summary of tools/perf_pairs.py, on fixed numbers, and its exit when a
+run fails (no perfbench run)."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "perf_pairs.py"
@@ -22,6 +26,7 @@ def test_summary_of_a_higher_is_better_metric():
         "wins": 3,  # the tie at 12.0 counts for neither side
         "pairs": 5,
         "within_bound": True,
+        "gain": False,
     }
 
 
@@ -38,16 +43,57 @@ def test_summary_of_a_lower_is_better_metric_outside_its_bound():
 
 def test_report_lists_every_run_and_the_verdicts():
     parent = [{"ops_per_s": 10.0, "p50_ms": 1.0}, {"ops_per_s": 12.0, "p50_ms": 1.2}]
-    change = [{"ops_per_s": 6.0, "p50_ms": 0.9}, {"ops_per_s": 7.0, "p50_ms": 1.1}]
+    change = [{"ops_per_s": 6.0, "p50_ms": 0.9}, {"ops_per_s": 7.0, "p50_ms": 1.0}]
     assert perf_pairs.report([OPS, P50], parent, change).splitlines() == [
         "ops_per_s (1/s, higher is better, bound 0.2)",
         "  parent: 10 12",
         "  change: 6 7",
         "  parent median 11 [10.5, 11.5] -> change median 6.5 (-40.9%)",
-        "  change wins 0 of 2 pairs; within bound: NO",
+        "  change wins 0 of 2 pairs; within bound: NO; gain: no",
         "p50_ms (ms, lower is better, bound 0.24)",
         "  parent: 1 1.2",
-        "  change: 0.9 1.1",
-        "  parent median 1.1 [1.05, 1.15] -> change median 1 (-9.1%)",
-        "  change wins 2 of 2 pairs; within bound: yes",
+        "  change: 0.9 1",
+        "  parent median 1.1 [1.05, 1.15] -> change median 0.95 (-13.6%)",
+        "  change wins 2 of 2 pairs; within bound: yes; gain: yes",
     ]
+
+
+def test_gain_needs_nine_wins_in_ten_and_a_median_gain_beyond_the_parent_spread():
+    parent = [10.0, 11.0, 9.0, 10.5, 9.5, 10.0, 10.2, 9.8, 10.1, 9.9]
+    # Parent quartiles 9.825 and 10.175: a spread of 0.35.
+    wins_all = [x + 0.5 for x in parent]
+    assert perf_pairs.summarize(OPS, parent, wins_all)["gain"] is True
+    too_close = [x + 0.3 for x in parent]  # median gain 0.3, within the spread
+    assert perf_pairs.summarize(OPS, parent, too_close)["gain"] is False
+    eight_wins = wins_all[:8] + [9.0, 9.0]  # the last two pairs lost
+    assert perf_pairs.summarize(OPS, parent, eight_wins)["wins"] == 8
+    assert perf_pairs.summarize(OPS, parent, eight_wins)["gain"] is False
+    nine_wins = wins_all[:9] + [9.0]
+    assert perf_pairs.summarize(OPS, parent, nine_wins)["gain"] is True
+    # Lower is better: the same runs are a gain read the other way round.
+    assert perf_pairs.summarize(P50, wins_all, parent)["gain"] is True
+    assert perf_pairs.summarize(P50, parent, wins_all)["gain"] is False
+
+
+def test_a_failing_run_exits_1_with_one_line(tmp_path):
+    # The parent's run passes; the change's dies with a traceback and exit 3.
+    runs = {
+        "parent": "print('{\"metrics\": {}}')\n",
+        "change": "import sys\n"
+                  "print('Traceback (most recent call last):', file=sys.stderr)\n"
+                  "print('ValueError: no such workload', file=sys.stderr)\n"
+                  "sys.exit(3)\n",
+    }
+    for name, script in runs.items():
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(script)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    proc = subprocess.run(
+        [sys.executable, str(_PATH), "parent", "change", "--workload", "verify",
+         "--pairs", "2", "--seconds", "1", "--seed", "7"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "perf_pairs: run in change with seed 7 exited 3: ValueError: no such workload")

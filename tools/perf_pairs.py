@@ -9,8 +9,12 @@ in even pairs and the change first in odd ones.  Each run's ``metrics`` are
 read from its last output line.  For each end-to-end metric of the change's
 ``BENCHMARK.json`` the summary gives every run on each side, the parent's
 median and quartiles, the change's median, how many pairs the change wins
-(ties count for neither side) and whether its median is within the metric's
-relative bound of the parent's.  Standard library only.
+(ties count for neither side), whether its median is within the metric's
+relative bound of the parent's, and the gain verdict: whether the change wins
+at least 0.9 of the pairs with a median better than the parent's by more than
+the parent's interquartile spread.  A run that exits non-zero stops the tool
+with exit status 1 and one line naming its checkout, seed, exit code and last
+line of stderr.  Standard library only.
 """
 
 from __future__ import annotations
@@ -24,13 +28,18 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One perfbench run in ``checkout``: the values of its last line's metrics."""
-    out = subprocess.run(
+    """One perfbench run in ``checkout``: the values of its last line's metrics.
+    A run that exits non-zero exits this tool with status 1 and one line."""
+    proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    ).stdout
-    metrics = json.loads(out.strip().splitlines()[-1])["metrics"]
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode:
+        last = (proc.stderr.strip().splitlines() or ["(no stderr)"])[-1]
+        sys.exit(f"perf_pairs: run in {checkout} with seed {seed} exited"
+                 f" {proc.returncode}: {last}")
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
     return {name: m["value"] for name, m in metrics.items()}
 
 
@@ -39,17 +48,22 @@ def summarize(
 ) -> dict[str, object]:
     """Compare paired runs of one metric; ``spec`` is its ``end_to_end`` entry
     of BENCHMARK.json (``better`` is "higher" or "lower", ``bound`` relative).
-    Quartiles are ``statistics.quantiles``' inclusive ones."""
+    Quartiles are ``statistics.quantiles``' inclusive ones.  ``gain`` is the
+    verdict for a claimed gain: the change wins at least 0.9 of the pairs and
+    its median is better than the parent's by more than the parent's
+    interquartile spread."""
     sign = 1 if spec["better"] == "higher" else -1
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     return {
         "parent_median": p_med,
         "parent_quartiles": (q1, q3),
         "change_median": c_med,
-        "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "wins": wins,
         "pairs": len(parent),
         "within_bound": sign * (p_med - c_med) <= spec["bound"] * abs(p_med),
+        "gain": wins >= 0.9 * len(parent) and sign * (c_med - p_med) > q3 - q1,
     }
 
 
@@ -69,7 +83,8 @@ def report(specs: list[dict], parent: list[dict], change: list[dict]) -> str:
             f"  parent median {s['parent_median']:.4g} [{q1:.4g}, {q3:.4g}]"
             f" -> change median {s['change_median']:.4g} ({rel:+.1%})",
             f"  change wins {s['wins']} of {s['pairs']} pairs;"
-            f" within bound: {'yes' if s['within_bound'] else 'NO'}",
+            f" within bound: {'yes' if s['within_bound'] else 'NO'};"
+            f" gain: {'yes' if s['gain'] else 'no'}",
         ]
     return "\n".join(lines)
 
