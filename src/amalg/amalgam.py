@@ -150,27 +150,33 @@ def _append(
 ) -> int:
     """Append raw syllables to the normal form (stack, d) in place.
 
-    Returns the new trailing subgroup part; ``stack`` is mutated.
+    Returns the new trailing subgroup part; ``stack`` is mutated.  An element
+    that is not an int in range, such as 1.5 or "1", is out of range.
     """
     side_a, side_b = spec.tables_a, spec.tables_b
-    for side, x in syllables:
-        if side == SIDE_A:
-            mul, decomp, img, e = side_a
-        elif side == SIDE_B:
-            mul, decomp, img, e = side_b
+    x = 0  # a TypeError with x an int comes from a syllable that is not a pair
+    try:
+        for side, x in syllables:
+            if side == SIDE_A:
+                mul, decomp, img, e = side_a
+            elif side == SIDE_B:
+                mul, decomp, img, e = side_b
+            else:
+                raise ValueError(f"unknown side {side!r}")
+            if not 0 <= x < len(mul):
+                break
+            x = mul[img[d]][x]
+            if stack and stack[-1][0] == side:
+                x = mul[stack.pop()[1]][x]
+            t, d = decomp[x]
+            if t != e:
+                stack.append((side, t))
         else:
-            raise ValueError(f"unknown side {side!r}")
-        if not 0 <= x < len(mul):
-            raise ValueError(
-                f"element {x} out of range for side {side} of {spec.label}"
-            )
-        x = mul[img[d]][x]
-        if stack and stack[-1][0] == side:
-            x = mul[stack.pop()[1]][x]
-        t, d = decomp[x]
-        if t != e:
-            stack.append((side, t))
-    return d
+            return d
+    except TypeError:
+        if isinstance(x, int):
+            raise
+    raise ValueError(f"element {x!r} out of range for side {side} of {spec.label}")
 
 
 def reduce_word(spec: AmalgamSpec, word: Iterable[Syllable]) -> NormalForm:
@@ -183,12 +189,14 @@ def reduce_word(spec: AmalgamSpec, word: Iterable[Syllable]) -> NormalForm:
 
 def check_form(spec: AmalgamSpec, form: NormalForm) -> None:
     """The one check of a form read from a caller: ``reduce_word``'s
-    ValueError for its first bad syllable, else one for a tail out of range."""
+    ValueError for its first bad syllable, else one for a tail that is not an
+    int in range.  True and False hash and compare equal to 1 and 0, so they
+    pass as those, as an element or as a tail."""
     if not spec.syllables.issuperset(form.head):
         reduce_word(spec, form.head)  # raises the error for the first bad syllable
-    if not 0 <= form.tail < len(spec.d.mul):
+    if not (isinstance(form.tail, int) and 0 <= form.tail < len(spec.d.mul)):
         raise ValueError(
-            f"tail {form.tail} out of range for the subgroup {spec.d.label} of {spec.label}"
+            f"tail {form.tail!r} out of range for the subgroup {spec.d.label} of {spec.label}"
         )
 
 
@@ -212,7 +220,7 @@ def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
     ``_append`` checks v's head as it folds it."""
     check_form(spec, u)
     d_mul = spec.d.mul
-    if not 0 <= v.tail < len(d_mul):
+    if not (isinstance(v.tail, int) and 0 <= v.tail < len(d_mul)):
         check_form(spec, v)  # raises the error for v's tail
     stack = list(u.head)
     d = _append(spec, stack, u.tail, v.head)

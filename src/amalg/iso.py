@@ -18,10 +18,10 @@ mutually inverse maps between them:
 
 verify_exact_sequence checks image nu = kernel mu at a head-length bound,
 and verify_split checks the section and hom laws plus both round trips.  Its
-hom law on single-syllable pairs is proved on the Cayley edges of the two
-factor products and scanned pair by pair only when that proof fails; the
-proof needs what make_big_amalgam checks: actions by automorphisms and
-generating sets of the semidirect tables.
+hom law on single-syllable pairs is proved on the pairs (e, x) and on the
+Cayley edges of the two factor products; the proof needs what
+make_big_amalgam checks: actions by automorphisms and generating sets of the
+semidirect tables.
 """
 
 from __future__ import annotations
@@ -237,42 +237,6 @@ def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
     return NormalForm(form.head, tail), c_group.mul[acc][c0]
 
 
-Pair = tuple[NormalForm, int]
-
-
-def _phi_hom_on_edges(
-    big: BigAmalgam,
-    phis: dict[Pair, NormalForm],
-    times: Callable[[Pair, Pair], Pair],
-    phi_of: Callable[[Pair], NormalForm],
-) -> bool:
-    """Whether ``verify_split``'s edge proof holds: every value in ``phis``
-    (phi on the shorts) is a normal form, and phi(z s) = phi(z) phi(s) on
-    every edge (z, s) of the closure of S_A under the generators of B x| C
-    and of S_B under those of A x| C.  A ValueError counts as a failure, so
-    that the pair scan raises or reports it exactly as it would unproved."""
-    spec, q = big.spec, big.actor.order
-    try:
-        if any(reduce_word(spec, to_word(spec, g)) != g for g in phis.values()):
-            return False
-        for start, side, sd in ((SIDE_A, SIDE_B, big.sd_b), (SIDE_B, SIDE_A, big.sd_a)):
-            gens = [(reduce_word(big.small, [(side, n)]), c) for n, c in (
-                divmod(g, q) for g in sd.flat.generators or (sd.flat.identity,))]
-            closure = [x for x in phis if all(s == start for s, _ in x[0].head)]
-            seen = set(closure)
-            for z in closure:  # grows by each new product
-                for s in gens:
-                    zs = times(z, s)
-                    if phi_of(zs) != word_mul(spec, phi_of(z), phis[s]):
-                        return False
-                    if zs not in seen:
-                        seen.add(zs)
-                        closure.append(zs)
-    except ValueError:
-        return False
-    return True
-
-
 def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:
     """Check that nu is injective, mu is onto C, and image nu = kernel mu,
     over all big-amalgam forms of head length at most ``bound`` (ValueError
@@ -297,28 +261,28 @@ def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:
 
 def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
     """Check the splitting: mu o tau = id, tau is a hom, phi satisfies the
-    hom law on every pair of single-syllable shorts (evaluating phi once per
-    distinct argument) and on seeded samples, and phi/phi_inv invert each other.
+    hom law on every pair of single-syllable shorts and on seeded samples,
+    and phi/phi_inv invert each other.
 
     The shorts are S = S_A u S_B, where S_A = A x| C and S_B = B x| C are
-    read as pairs (form, c) of (A *_D B) x| C.  Their hom law is first proved
-    on Cayley edges: close S_A under right multiplication by the generators
-    of B x| C, each (n, c) read as the pair ((n), c), to get S_A S_B; close
-    S_B under those of A x| C to get S_B S_A; check phi(z s) = phi(z) phi(s)
-    on every edge (z, s).  If every edge holds, write y in S_B as s1 ... sk:
-    induction on k gives phi(x y) = phi(x) phi(s1) ... phi(sk) for every x in
-    S_A S_B, and x = e gives phi(y) = phi(s1) ... phi(sk), since the edge
-    (e, s) makes phi(e) the identity.  So phi(x y) = phi(x) phi(y) for x in S
-    and y in S_B, and likewise for y in S_A.  This holds for any phi, since
-    every value compared is the implemented phi's, and rests on facts that
-    ``make_big_amalgam`` establishes: both products are associative (C acts
-    by automorphisms, checked by ``make_action`` and ``_require_compatible``)
-    and the flat generators generate their groups (``semidirect``'s
-    ``check_group_axioms``).  The edges equate elements; the pairs compare
-    forms, so the proof also checks that phi takes normal forms on S (and
-    so, edge by edge, on both closures), which are unique.  Only when the
-    proof fails are all |S|^2 pairs scanned, so a failing record keeps its
-    first witness.
+    read as pairs (form, c) of (A *_D B) x| C.  Their hom law is proved in
+    one pass, whose first failing pair is the witness.  First the pairs
+    (e, x) for x in S: phi(e) phi(x) is a normal form, so this shows that
+    phi(x) is one and phi(e) the identity.  Then the Cayley edges: close S_A
+    under right multiplication by the generators of B x| C, each (n, c) read
+    as the pair ((n), c), to get S_A S_B; close S_B under those of A x| C to
+    get S_B S_A; check phi(z s) = phi(z) phi(s) on every edge (z, s).  If
+    every pair holds, write y in S_B as s1 ... sk: induction on k gives
+    phi(x y) = phi(x) phi(s1) ... phi(sk) for every x in S_A S_B, and x = e
+    gives phi(y) = phi(s1) ... phi(sk).  So phi(x y) = phi(x) phi(y) for x
+    in S and y in S_B, and likewise for y in S_A.  This holds for any phi,
+    since every value compared is the implemented phi's, and rests on facts
+    that ``make_big_amalgam`` establishes: both products are associative (C
+    acts by automorphisms, checked by ``make_action`` and
+    ``_require_compatible``) and the flat generators generate their groups
+    (``semidirect``'s ``check_group_axioms``).  The edges equate elements
+    and the pairs compare forms: phi takes normal forms on S, and so, edge
+    by edge, on both closures, and these are unique.
 
     Samples are drawn only as a check reads them, and a check stops at its
     first counterexample, so a later check's draws start where it stopped.
@@ -340,32 +304,35 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
     def pair() -> tuple[NormalForm, int]:
         return small(), rng.randrange(c_group.order)
 
-    # The hom law on all pairs of shorts: proved on Cayley edges, and scanned
-    # pair by pair only when the proof fails.  Tables live for this call only:
-    # phi of each short and of each distinct product, and each c on each form.
+    # The hom law on all pairs of shorts.  Tables live for this call only: phi
+    # of each short and of each new product, and each c on each short form.
     def phi_hom_shorts() -> Iterator[str]:
         forms = enumerate_forms(big.small, 1)
         shorts = [(w, c) for w in forms for c in cs]
         phis = {x: phi(big, *x) for x in shorts}
         acted = {(c, w): big.act(c, w) for c in cs for w in forms}
-        phi_xys: dict[Pair, NormalForm] = {}
-
-        def times(x: Pair, y: Pair) -> Pair:
-            # SmallSemidirect.mul's formula, with the action read from the table.
-            (w1, c1), (w2, c2) = x, y
-            return word_mul(big.small, w1, acted[c1, w2]), c_group.mul[c1][c2]
-
-        def phi_of(xy: Pair) -> NormalForm:
-            if xy not in phi_xys:
-                phi_xys[xy] = phi(big, *xy)
-            return phi_xys[xy]
-
-        if _phi_hom_on_edges(big, phis, times, phi_of):
-            return
+        e = sd.identity()
         for x in shorts:
-            for y in shorts:
-                if phi_of(times(x, y)) != word_mul(spec, phis[x], phis[y]):
-                    yield f"x = {x}, y = {y}"
+            if word_mul(spec, phis[e], phis[x]) != phis[x]:
+                yield f"x = {e}, y = {x}"
+        for start, side, flat in ((SIDE_A, SIDE_B, big.sd_b.flat), (SIDE_B, SIDE_A, big.sd_a.flat)):
+            gens = [(reduce_word(big.small, [(side, n)]), c) for n, c in (
+                divmod(g, c_group.order) for g in flat.generators or (flat.identity,))]
+            closure = [x for x in shorts if all(s == start for s, _ in x[0].head)]
+            seen = set(closure)
+            for z in closure:  # grows by each new product
+                w, c = z
+                for s in gens:
+                    # SmallSemidirect.mul's formula, with the action read from the table.
+                    zs = word_mul(big.small, w, acted[c, s[0]]), c_group.mul[c][s[1]]
+                    if zs not in phis:
+                        phis[zs] = phi(big, *zs)
+                    if phis[zs] != word_mul(spec, phis[z], phis[s]):
+                        yield f"x = {z}, y = {s}"
+                    if zs not in seen:
+                        seen.add(zs)
+                        closure.append(zs)
+
     checks = (
         ("mu-tau-identity", (f"c = {c}" for c in cs if mu(big, tau(big, c)) != c)),
         ("tau-homomorphism", (

@@ -155,6 +155,10 @@ def test_reduce_rejects_bad_syllables(small_spec):
         reduce_word(small_spec, [("c", 0)])
     with pytest.raises(ValueError, match="out of range"):
         reduce_word(small_spec, [(SIDE_A, 4)])
+    # A syllable that is not a pair is not reported as an element out of range.
+    for word in ([5], [(SIDE_A, 1), 5]):
+        with pytest.raises(TypeError, match="cannot unpack"):
+            reduce_word(small_spec, word)
 
 
 def test_reduce_is_idempotent_on_enumerated_forms(small_spec):

@@ -334,12 +334,12 @@ def test_single_syllable_hom_check_evaluates_phi_once_per_short(big, monkeypatch
 
     monkeypatch.setattr(iso, "phi", counting_phi)
     monkeypatch.setattr(iso.BigAmalgam, "act", counting_act)
-    # 16 shorts on the flagship: phi of each once, then of each of the 32
-    # distinct products of the 256 pairs, and each of the 2 actor elements
-    # on each of the 8 short forms once; nothing else evaluates phi or the
-    # action when no samples are drawn.
+    # 16 shorts on the flagship: phi of each once, then of each of the 16
+    # other elements of the two closures (the 32 distinct products of the 256
+    # pairs), and each of the 2 actor elements on each of the 8 short forms
+    # once; nothing else evaluates phi or the action when no samples are drawn.
     assert verify_split(big, 0, 0).ok
-    assert len(calls) == 16 + 32
+    assert len(calls) == 16 + 16
     assert len(acts) == 2 * 8
 
 
@@ -363,10 +363,10 @@ def test_single_syllable_hom_proof_counts_its_products(big, monkeypatch, instanc
         return word_mul(spec, u, v)
 
     monkeypatch.setattr(iso, "word_mul", counting_word_mul)
-    # 4 for tau-homomorphism, one per phi (16 + 32 on the flagship, 88 + 392
-    # on Z40 *[Z2] Z6) and one per Cayley edge: two generators of each
-    # factor product times 24 (240) elements of each closure.  The pairwise
-    # scan alone would make 2|S|^2 of them: 308 and 8,228 calls in all.
+    # 4 for tau-homomorphism, one per phi (16 + 16 on the flagship, 88 + 304
+    # on Z40 *[Z2] Z6), one per pair (e, x) (16, 88) and one per Cayley edge:
+    # two generators of each factor product times 24 (240) elements of each
+    # closure.  A pairwise scan alone would make 2|S|^2 of them.
     assert verify_split(b, 0, 0).ok
     assert len(counted) == calls
 
@@ -399,11 +399,13 @@ def _edge_cases(small_spec):
             trivial_action(z1, spec.a), trivial_action(z1, spec.b), trivial_action(z1, spec.d)))
 
 
-def _scanned(b, monkeypatch):
-    """verify_split's records with the edge proof forced to fail."""
-    with monkeypatch.context() as m:
-        m.setattr(iso, "_phi_hom_on_edges", lambda *args: False)
-        return verify_split(b, 0, 0)
+def _pair_scan_ok(b):
+    """The reference for phi-hom-single-syllable: whether iso.phi satisfies
+    phi(x y) = phi(x) phi(y), as forms, on every pair of S x S."""
+    sd = SmallSemidirect(b)
+    shorts = [(w, c) for w in enumerate_forms(b.small, 1) for c in b.actor.elements()]
+    return all(iso.phi(b, *sd.mul(x, y)) == word_mul(b.spec, iso.phi(b, *x), iso.phi(b, *y))
+               for x in shorts for y in shorts)
 
 
 def test_edge_proof_agrees_with_the_pair_scan(small_spec, monkeypatch):
@@ -413,7 +415,7 @@ def test_edge_proof_agrees_with_the_pair_scan(small_spec, monkeypatch):
     for b in bigs:
         report = verify_split(b, 0, 0)
         assert report.ok, b.spec.label
-        assert _scanned(b, monkeypatch) == report
+        assert report.records[2].ok == _pair_scan_ok(b), b.spec.label
 
 
 @pytest.mark.parametrize("instance, products", [("flagship", 32), ("Z9 *[Z3] Z6", 72)])
@@ -435,7 +437,7 @@ def test_edge_proof_agrees_with_the_pair_scan_on_a_wrong_phi(
         report = verify_split(b, 0, 0)
         assert report.records[2].check == "phi-hom-single-syllable"
         assert not report.records[2].ok, wrong_at
-        assert _scanned(b, monkeypatch) == report, wrong_at
+        assert report.records[2].ok == _pair_scan_ok(b), wrong_at
 
 
 def test_nu_and_tau_read_tables_and_never_encode(big, monkeypatch):
@@ -556,6 +558,14 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
      "unknown side 'z'"),
     (lambda big: word_eq(big.small, NormalForm((), 7), NormalForm((), 7)), f"tail 7 {SMALL_SUB}"),
     (lambda big: word_eq(big.small, [(SIDE_A, 1)], NormalForm((), 7)), f"tail 7 {SMALL_SUB}"),
+    (lambda big: to_word(big.small, NormalForm(((SIDE_A, 1.5),), 0)),
+     "element 1.5 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: to_word(big.small, NormalForm((), 1.5)), f"tail 1.5 {SMALL_SUB}"),
+    (lambda big: reduce_word(big.small, [(SIDE_A, 1.5)]),
+     "element 1.5 out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: word_mul(big.small, NormalForm((), 0), NormalForm(((SIDE_A, "1"),), 0)),
+     "element '1' out of range for side a of Z4 *[Z2] Z6"),
+    (lambda big: word_mul(big.small, NormalForm((), 0), NormalForm((), 1.5)), f"tail 1.5 {SMALL_SUB}"),
 ], ids=["nu-a-negative", "nu-a-9", "nu-side-z", "tau-negative", "tau-5", "phi-negative", "phi-5",
         "act-negative", "act-5", "word-inv-side-z", "act-side-z",
         "word-inv-a-negative", "word-inv-a-9", "act-a-negative", "act-a-9",
@@ -570,7 +580,9 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
         "sd-mul-negative", "sd-mul-2", "sd-inv-negative", "form-to-letters-a-negative",
         "form-to-letters-side-z", "small-form-to-letters-a-9", "side-matrix-side-z",
         "side-matrix-a-negative", "side-matrix-a-99", "sub-matrix-negative",
-        "word-eq-a-9", "word-eq-side-z", "word-eq-tail-7", "word-eq-raw-and-tail-7"])
+        "word-eq-a-9", "word-eq-side-z", "word-eq-tail-7", "word-eq-raw-and-tail-7",
+        "to-word-a-float", "to-word-tail-float", "reduce-word-a-float", "word-mul-right-a-str",
+        "word-mul-right-tail-float"])
 def test_iso_maps_report_out_of_range_input(big, call, message):
     with pytest.raises(ValueError) as err:
         call(big)

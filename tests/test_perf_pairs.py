@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "perf_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("perf_pairs", _PATH)
 perf_pairs = importlib.util.module_from_spec(_SPEC)
@@ -75,25 +77,47 @@ def test_gain_needs_nine_wins_in_ten_and_a_median_gain_beyond_the_parent_spread(
     assert perf_pairs.summarize(P50, parent, wins_all)["gain"] is False
 
 
+def _run_pairs(tmp_path, runs):
+    """perf_pairs.py on two checkouts whose perfbench/run.py are ``runs``."""
+    for name, script in runs.items():
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(script)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    return subprocess.run(
+        [sys.executable, str(_PATH), "parent", "change", "--workload", "verify",
+         "--pairs", "2", "--seconds", "1", "--seed", "7"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+
+
 def test_a_failing_run_exits_1_with_one_line(tmp_path):
     # The parent's run passes; the change's dies with a traceback and exit 3.
-    runs = {
+    proc = _run_pairs(tmp_path, {
         "parent": "print('{\"metrics\": {}}')\n",
         "change": "import sys\n"
                   "print('Traceback (most recent call last):', file=sys.stderr)\n"
                   "print('ValueError: no such workload', file=sys.stderr)\n"
                   "sys.exit(3)\n",
-    }
-    for name, script in runs.items():
-        (tmp_path / name / "perfbench").mkdir(parents=True)
-        (tmp_path / name / "perfbench" / "run.py").write_text(script)
-    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
-    proc = subprocess.run(
-        [sys.executable, str(_PATH), "parent", "change", "--workload", "verify",
-         "--pairs", "2", "--seconds", "1", "--seed", "7"],
-        cwd=tmp_path, capture_output=True, text=True,
-    )
+    })
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1] == (
         "perf_pairs: run in change with seed 7 exited 3: ValueError: no such workload")
+
+
+@pytest.mark.parametrize("script, line", [
+    ("", "(no stdout)"),
+    ("print('{\"metrics\": {}}')\nprint('done')\n", "done"),
+    ("print('{\"metrics\": {}')\n", '{"metrics": {}'),
+    ("print('[1, 2]')\n", "[1, 2]"),
+    ("print('{\"metrics\": {\"ops_per_s\": 3}}')\n", '{"metrics": {"ops_per_s": 3}}'),
+], ids=["empty", "not-json", "cut-short", "not-an-object", "no-value"])
+def test_a_run_without_a_json_result_exits_1_with_one_line(tmp_path, script, line):
+    # The change's run exits 0, but its last line is not a result.
+    proc = _run_pairs(tmp_path, {"parent": "print('{\"metrics\": {}}')\n", "change": script})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "pair 1/2 seed 7 parent: done",
+        f"perf_pairs: run in change with seed 7 exited 0 without a JSON result: {line}",
+    ]

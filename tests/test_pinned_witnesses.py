@@ -108,8 +108,9 @@ def z9_over_z3_by_four():
 
 def test_split_records_with_phi_wrong_on_one_product(big, monkeypatch):
     # phi is wrong only at one pair that is a product of two shorts, so the
-    # single-syllable check must find it at the first pair whose product it
-    # is: a table keyed without the actor element would miss or misplace it.
+    # single-syllable check must find it at the first Cayley edge whose
+    # product it is: a table keyed without the actor element would miss or
+    # misplace it.
     phi, tau = iso.phi, iso.tau
     wrong_at = (NormalForm((("a", 1), ("b", 1)), 0), 1)
 
@@ -117,14 +118,13 @@ def test_split_records_with_phi_wrong_on_one_product(big, monkeypatch):
         g = phi(b, w, c)
         return word_mul(b.spec, g, tau(b, 1)) if (w, c) == wrong_at else g
 
-    single = ("phi-hom-single-syllable", False,
-              "x = (NormalForm(head=(('a', 1),), tail=0), 0), "
-              "y = (NormalForm(head=(('b', 1),), tail=0), 1)")
     expected = {
         "Z4 *[Z2] Z6": [
             ("mu-tau-identity", True, None),
             ("tau-homomorphism", True, None),
-            single,
+            ("phi-hom-single-syllable", False,
+             "x = (NormalForm(head=(('a', 1), ('b', 1)), tail=0), 0), "
+             "y = (NormalForm(head=(), tail=0), 1)"),
             ("phi-homomorphism", False,
              "x = (NormalForm(head=(('a', 1), ('b', 1)), tail=0), 1), "
              "y = (NormalForm(head=(('b', 1), ('a', 1), ('b', 1)), tail=1), 1)"),
@@ -135,7 +135,9 @@ def test_split_records_with_phi_wrong_on_one_product(big, monkeypatch):
         "Z9 *[Z3] Z6": [
             ("mu-tau-identity", True, None),
             ("tau-homomorphism", True, None),
-            single,
+            ("phi-hom-single-syllable", False,
+             "x = (NormalForm(head=(('a', 1),), tail=0), 1), "
+             "y = (NormalForm(head=(('b', 1),), tail=0), 0)"),
             ("phi-homomorphism", True, None),
             ("phi-inv-after-phi", True, None),
             ("phi-after-phi-inv", True, None),
@@ -149,6 +151,32 @@ def test_split_records_with_phi_wrong_on_one_product(big, monkeypatch):
     monkeypatch.setattr(iso, "phi", phi_wrong_on_one_product)
     for b in bigs:
         assert triples(verify_split(b, 20, 3)) == expected[b.small.label]
+
+
+def test_split_records_with_phi_not_a_normal_form_at_one_short(big, monkeypatch):
+    # At one short phi names the right element, but an identity b syllable
+    # trails its head, so it is not a normal form.  The pairs (e, x) come
+    # before the Cayley edges, so the witness is e and that short.
+    phi = iso.phi
+    short = (NormalForm((("a", 1),), 0), 0)
+    g = phi(big, *short)
+    padded = NormalForm(g.head + (("b", big.spec.b.identity),), g.tail)
+    assert padded != g == word_mul(big.spec, NormalForm((), 0), padded)
+
+    def phi_not_normal_at_one_short(b, w, c):
+        return padded if (w, c) == short else phi(b, w, c)
+
+    monkeypatch.setattr(iso, "phi", phi_not_normal_at_one_short)
+    assert triples(verify_split(big, 0, 0)) == [
+        ("mu-tau-identity", True, None),
+        ("tau-homomorphism", True, None),
+        ("phi-hom-single-syllable", False,
+         "x = (NormalForm(head=(), tail=0), 0), y = (NormalForm(head=(('a', 1),), tail=0), 0)"),
+        ("phi-homomorphism", True, None),
+        ("phi-inv-after-phi", True, None),
+        ("phi-after-phi-inv", True, None),
+        ("nu-homomorphism", True, None),
+    ]
 
 
 def test_exact_sequence_records_with_a_colliding_nu(big, monkeypatch):

@@ -14,7 +14,8 @@ relative bound of the parent's, and the gain verdict: whether the change wins
 at least 0.9 of the pairs with a median better than the parent's by more than
 the parent's interquartile spread.  A run that exits non-zero stops the tool
 with exit status 1 and one line naming its checkout, seed, exit code and last
-line of stderr.  Standard library only.
+line of stderr; so does a run whose last stdout line is not a JSON result,
+with that line.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from pathlib import Path
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
     """One perfbench run in ``checkout``: the values of its last line's metrics.
-    A run that exits non-zero exits this tool with status 1 and one line."""
+    A run that exits non-zero, or whose last line is not a JSON result, exits
+    this tool with status 1 and one line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -39,8 +41,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
         last = (proc.stderr.strip().splitlines() or ["(no stderr)"])[-1]
         sys.exit(f"perf_pairs: run in {checkout} with seed {seed} exited"
                  f" {proc.returncode}: {last}")
-    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
-    return {name: m["value"] for name, m in metrics.items()}
+    last = (proc.stdout.strip().splitlines() or ["(no stdout)"])[-1]
+    try:
+        return {name: m["value"] for name, m in json.loads(last)["metrics"].items()}
+    except (ValueError, TypeError, KeyError, AttributeError):
+        sys.exit(f"perf_pairs: run in {checkout} with seed {seed} exited 0"
+                 f" without a JSON result: {last}")
 
 
 def summarize(
