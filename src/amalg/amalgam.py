@@ -217,11 +217,14 @@ def syllable_count(spec: AmalgamSpec, form: NormalForm) -> int:
 def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
     """Product of two normal forms: fold v's head onto u, then multiply the
     tails, in time O(|u| + |v|).  ``check_form`` checks u and v's tail, and
-    ``_append`` checks v's head as it folds it."""
+    ``_append`` checks v's head as it folds it; a head-less v only multiplies
+    the tails."""
     check_form(spec, u)
     d_mul = spec.d.mul
     if not (isinstance(v.tail, int) and 0 <= v.tail < len(d_mul)):
         check_form(spec, v)  # raises the error for v's tail
+    if v.head == ():
+        return NormalForm(tuple(u.head), d_mul[u.tail][v.tail])
     stack = list(u.head)
     d = _append(spec, stack, u.tail, v.head)
     return NormalForm(tuple(stack), d_mul[d][v.tail])

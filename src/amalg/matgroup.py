@@ -110,11 +110,14 @@ def standard_generators() -> tuple[Mat2, Mat2, Mat2]:
 
 
 def _table_product(tables: Mapping[str, Any], keys: Iterable[tuple[str, int]]) -> Mat2:
-    """The product of ``tables[name][i]`` over the pairs (name, i), left to right."""
-    acc = IDENTITY
+    """The product of ``tables[name][i]`` over the pairs (name, i), left to
+    right.  It folds the four entries as local ints and builds one ``Mat2`` at
+    the end, none per step."""
+    a, b, c, d = 1, 0, 0, 1
     for name, i in keys:
-        acc = mat_mul(acc, tables[name][i])
-    return acc
+        p, q, r, s = tables[name][i]
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return Mat2(a, b, c, d)
 
 
 class Letter(NamedTuple):

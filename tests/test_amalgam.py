@@ -228,6 +228,38 @@ def test_identity_form_is_neutral(small_spec):
         assert word_mul(small_spec, e, u) == u
 
 
+def make_nonabelian_amalgam():
+    """D3 *[D3] D6, with D3 in D6 as r -> r^2, f -> f: the subgroup is not
+    abelian, so tails multiply in one order only."""
+    d3, d6 = make_dihedral(3), make_dihedral(6)
+    return make_amalgam(d3, d6, d3, identity_hom(d3), hom_from_generators(d3, d6, {1: 2, 3: 6}))
+
+
+@pytest.mark.parametrize("name", ["small", "big", "nonabelian"])
+def test_word_mul_by_a_headless_form_agrees_with_concatenation(model, name):
+    spec = make_nonabelian_amalgam() if name == "nonabelian" else AMALGAMS[name](model)
+    for u in enumerate_forms(spec, 2):
+        for d in spec.d.elements():
+            v = NormalForm((), d)
+            concat = to_word(spec, u) + to_word(spec, v)
+            assert word_mul(spec, u, v) == reduce_word(spec, concat)
+    # A bad left factor and a bad tail still raise the errors of check_form.
+    v = NormalForm((), 0)
+    for u, message in (
+        (NormalForm(((SIDE_A, -1),), 0), f"element -1 out of range for side a of {spec.label}"),
+        (NormalForm((("z", 1),), 0), "unknown side 'z'"),
+        (NormalForm((), 99), f"tail 99 out of range for the subgroup {spec.d.label} of {spec.label}"),
+    ):
+        with pytest.raises(ValueError) as err:
+            word_mul(spec, u, v)
+        assert str(err.value) == message
+    for tail in (-1, 99, 1.5):
+        with pytest.raises(ValueError) as err:
+            word_mul(spec, identity_form(spec), NormalForm((), tail))
+        assert str(err.value) == (
+            f"tail {tail!r} out of range for the subgroup {spec.d.label} of {spec.label}")
+
+
 def test_word_eq_accepts_raw_and_reduced_arguments(small_spec):
     raw = ((SIDE_A, 3), (SIDE_A, 2))
     assert word_eq(small_spec, raw, reduce_word(small_spec, [(SIDE_A, 1)]))

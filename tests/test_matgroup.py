@@ -1,8 +1,11 @@
 """Exact 2x2 integer matrices and the dihedral-amalgam decomposition."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalg import matgroup
 from amalg import (
@@ -22,10 +25,12 @@ from amalg import (
     mat_inv,
     mat_mul,
     mat_pow,
+    random_form,
     reduce_word,
     sl2_decompose,
     small_form_to_letters,
     standard_generators,
+    to_word,
     word_to_form,
 )
 
@@ -299,3 +304,75 @@ def test_a_wrong_decomposition_fails_its_evaluation_check(monkeypatch):
     monkeypatch.setattr(matgroup, "reduce_word", lambda spec, word: wrong)
     with pytest.raises(RuntimeError, match="failed its evaluation check"):
         sl2_decompose(U)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("suj"),
+                          st.integers(-10**6, 10**6).filter(bool)), max_size=40))
+def test_evaluate_word_agrees_with_a_product_of_generator_powers(letters):
+    generators = dict(zip("suj", standard_generators()))
+    expected = functools.reduce(
+        mat_mul, [mat_pow(generators[name], k) for name, k in letters], IDENTITY)
+    assert evaluate_word(Glt2Word(tuple(letters))) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(dihedral=st.booleans(), seed=st.integers(0, 2**32))
+def test_evaluate_agrees_with_a_product_of_table_entries(model, dihedral, seed):
+    spec, mats = (model.big.spec, model.big_mats) if dihedral else (model.big.small, model.small_mats)
+    form = random_form(random.Random(seed), spec, 60)
+    side = {SIDE_A: mats.a, SIDE_B: mats.b}
+    entries = [side[s][x] for s, x in form.head] + [mats.d[form.tail]]
+    assert mats.evaluate(form) == functools.reduce(mat_mul, entries, IDENTITY)
+
+
+def continued_fraction_matrix(quotients):
+    """prod [[q, 1], [1, 0]], of determinant (-1)^len(quotients)."""
+    return functools.reduce(mat_mul, [Mat2(q, 1, 1, 0) for q in quotients], IDENTITY)
+
+
+# Long decompositions: a determinant -1 matrix with entries of over 100
+# digits, and a unipotent whose form has 1000 syllables.
+LONG_MATRICES = (continued_fraction_matrix([1, 2, 3] * 100 + [1]), Mat2(1, 500, 0, 1))
+
+
+def corrupted(spec, form, what):
+    """``form`` with its tail changed, or with its middle b syllable swapped
+    for the other non-identity representative of side b: still a normal
+    form, of another element."""
+    if what == "tail":
+        return NormalForm(form.head, (form.tail + 1) % spec.d.order)
+    head = list(form.head)
+    i = len(head) // 2 + (head[len(head) // 2][0] != SIDE_B)
+    t = head[i][1]
+    head[i] = (SIDE_B, next(r for r in spec.trans_b[1:] if r != t))
+    return NormalForm(tuple(head), form.tail)
+
+
+@pytest.mark.parametrize("what", ["syllable", "tail"])
+@pytest.mark.parametrize("m", LONG_MATRICES, ids=["cfrac", "unipotent"])
+def test_the_check_catches_a_wrong_form_deep_in_a_long_decomposition(model, monkeypatch, m, what):
+    if mat_det(m) == -1:
+        assert min(map(abs, m)) >= 10**99  # every entry has 100 digits or more
+    # gl2_decompose's form comes from phi, sl2_decompose's from reduce_word.
+    for decompose, spec, name in (
+        (gl2_decompose, model.big.spec, "phi"),
+        (sl2_decompose, model.big.small, "reduce_word"),
+    ):
+        true = getattr(matgroup, name)
+        wrong_forms = []
+
+        def wrong(*args):
+            form = true(*args)
+            wrong_forms.append(corrupted(spec, form, what))
+            assert len(form.head) >= 200 and wrong_forms[-1] != form
+            assert reduce_word(spec, to_word(spec, wrong_forms[-1])) == wrong_forms[-1]
+            return wrong_forms[-1]
+
+        target = m if decompose is gl2_decompose else gl2_split(m)[0]
+        monkeypatch.setattr(matgroup, name, wrong)
+        with pytest.raises(RuntimeError, match="failed its evaluation check"):
+            decompose(target)
+        assert len(wrong_forms) == 1
+        monkeypatch.setattr(matgroup, name, true)
+        decompose(target)

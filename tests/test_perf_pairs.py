@@ -77,12 +77,28 @@ def test_gain_needs_nine_wins_in_ten_and_a_median_gain_beyond_the_parent_spread(
     assert perf_pairs.summarize(P50, parent, wins_all)["gain"] is False
 
 
-def _run_pairs(tmp_path, runs):
+def test_verdict_names_each_metric_outside_its_bound():
+    parent = [{"ops_per_s": 10.0, "p50_ms": 1.0}, {"ops_per_s": 12.0, "p50_ms": 1.2}]
+    within = [{"ops_per_s": 9.0, "p50_ms": 1.3}, {"ops_per_s": 11.0, "p50_ms": 1.3}]
+    assert perf_pairs.verdict([OPS, P50], parent, within) == "all metrics within bound"
+    slow = [{"ops_per_s": 6.0, "p50_ms": 1.4}, {"ops_per_s": 7.0, "p50_ms": 1.4}]
+    assert perf_pairs.verdict([OPS, P50], parent, slow) == "outside bound: ops_per_s, p50_ms"
+    assert perf_pairs.verdict([P50], parent, slow) == "outside bound: p50_ms"
+
+
+def test_main_ends_with_the_verdict_line(tmp_path):
+    result = "print('{\"metrics\": {\"ops_per_s\": {\"value\": 10}}}')\n"
+    proc = _run_pairs(tmp_path, {"parent": result, "change": result}, [OPS])
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "all metrics within bound"
+
+
+def _run_pairs(tmp_path, runs, specs=()):
     """perf_pairs.py on two checkouts whose perfbench/run.py are ``runs``."""
     for name, script in runs.items():
         (tmp_path / name / "perfbench").mkdir(parents=True)
         (tmp_path / name / "perfbench" / "run.py").write_text(script)
-    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(specs)}))
     return subprocess.run(
         [sys.executable, str(_PATH), "parent", "change", "--workload", "verify",
          "--pairs", "2", "--seconds", "1", "--seed", "7"],

@@ -12,10 +12,11 @@ median and quartiles, the change's median, how many pairs the change wins
 (ties count for neither side), whether its median is within the metric's
 relative bound of the parent's, and the gain verdict: whether the change wins
 at least 0.9 of the pairs with a median better than the parent's by more than
-the parent's interquartile spread.  A run that exits non-zero stops the tool
-with exit status 1 and one line naming its checkout, seed, exit code and last
-line of stderr; so does a run whose last stdout line is not a JSON result,
-with that line.  Standard library only.
+the parent's interquartile spread.  One last line names each metric outside
+its bound, or says that all are within bound.  A run that exits non-zero
+stops the tool with exit status 1 and one line naming its checkout, seed,
+exit code and last line of stderr; so does a run whose last stdout line is
+not a JSON result, with that line.  Standard library only.
 """
 
 from __future__ import annotations
@@ -95,6 +96,19 @@ def report(specs: list[dict], parent: list[dict], change: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def verdict(specs: list[dict], parent: list[dict], change: list[dict]) -> str:
+    """One line after the report: each metric whose change median is outside
+    its bound, or that all are within bound."""
+    outside = [
+        spec["name"] for spec in specs
+        if not summarize(spec, [r[spec["name"]] for r in parent],
+                         [r[spec["name"]] for r in change])["within_bound"]
+    ]
+    if outside:
+        return "outside bound: " + ", ".join(outside)
+    return "all metrics within bound"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -117,6 +131,7 @@ def main() -> None:
     print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs,"
           f" seeds {args.seed}-{args.seed + args.pairs - 1}")
     print(report(specs, runs[args.parent], runs[args.change]))
+    print(verdict(specs, runs[args.parent], runs[args.change]))
 
 
 if __name__ == "__main__":
