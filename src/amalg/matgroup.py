@@ -12,8 +12,9 @@ to determinant -1 through the order-2 section
     J = [[0, 1], [1, 0]]     (J S J = S^-1, J U J = U^-1)
 
 landing in the dihedral amalgam built from Z4 x| Z2, Z6 x| Z2, Z2 x| Z2 with
-inversion actions.  All arithmetic is plain Python int, so entries may grow
-without overflow.
+inversion actions as phi(w, eps) = nu(w) * tau(eps) of the SL2 form w, with one
+reduction there: nu maps each syllable to one syllable and normal forms are
+unique.  All arithmetic is plain Python int, so entries may grow without overflow.
 
 ``LETTERS`` is the one table of the letters s, u, j: their powers, orders and
 amalgam sides.  Every function here that reads or writes letter words uses it.
@@ -23,13 +24,14 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .amalgam import (
-    SIDE_A, SIDE_B, NormalForm, Syllable, check_form, make_amalgam, reduce_word, to_word,
+    SIDE_A, SIDE_B, AmalgamSpec, NormalForm, Syllable, check_form, make_amalgam, reduce_word,
+    to_word, word_mul,
 )
 from .groups import hom_from_generators, inversion_action, make_cyclic
-from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam, nu, phi
+from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam, nu, tau
 from .products import SemidirectGroup
 
 __all__ = [
@@ -275,15 +277,17 @@ def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
     raise TypeError(f"cannot evaluate {type(word).__name__}")
 
 
-def _sl2_form(m: Mat2) -> NormalForm:
-    """The normal form of a determinant-1 matrix, unchecked.
+def _sl2_form(m: Mat2, spec: AmalgamSpec, base: Mapping[str, Sequence[int]]) -> NormalForm:
+    """The normal form of a determinant-1 matrix in ``spec``, unchecked.
 
     Euclidean reduction on the first column: while the lower-left entry is
     nonzero, M = T^q * S^-1 * (S * T^-q * M) with q the nearest-integer
     quotient, which at least halves |c|, so the loop takes logarithmically
     many steps.  The terminal +-upper-triangular matrix is a power of
-    T = S^-1 U times a central element, and the collected word is folded into
-    the Z4/Z6/Z2 amalgam, whose syllables are powers of S and U.
+    T = S^-1 U times a central element.  Each syllable (side, x) of the word,
+    a power of S or U in the Z4/Z6/Z2 amalgam, is written (side, base[side][x])
+    and the word reduced once in ``spec``: the small amalgam with identity
+    tables, or the dihedral one with nu's, giving nu of the small form.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
     quotients: list[int] = []
@@ -293,9 +297,10 @@ def _sl2_form(m: Mat2) -> NormalForm:
         quotients.append(q)
     # Now [[a, b], [0, a]] with a = +-1: that is (-I if a = -1) * T^(a*b).
     # T = S^-1 U, so T^k is k pairs (S^-1, U) and T^-k is k pairs (U^-1, S).
-    s, u = LETTERS["s"], LETTERS["u"]
-    s_inv = s.syllable(-1)
-    t_step, t_inv_step = (s_inv, u.syllable(1)), (u.syllable(-1), s.syllable(1))
+    steps = (("s", -1), ("u", 1), ("u", -1), ("s", 1), ("s", 2))
+    s_inv, u1, u_inv, s1, s2 = [(side, base[side][x]) for side, x in
+                                (LETTERS[name].syllable(k) for name, k in steps)]
+    t_step, t_inv_step = (s_inv, u1), (u_inv, s1)
     syls: list[Syllable] = []
 
     def emit_t_power(k: int) -> None:
@@ -307,16 +312,17 @@ def _sl2_form(m: Mat2) -> NormalForm:
         emit_t_power(q)
         syls.append(s_inv)
     if a == -1:
-        syls.append(s.syllable(2))
+        syls.append(s2)
     emit_t_power(a * b)
-    return reduce_word(build_dihedral_model().big.small, syls)
+    return reduce_word(spec, syls)
 
 
 def sl2_decompose(m: Mat2) -> NormalForm:
     """Canonical amalgam normal form of a determinant-1 matrix, checked exactly."""
     if mat_det(m) != 1:
         raise ValueError(f"matrix has determinant {mat_det(m)}, expected 1")
-    form = _sl2_form(m)
+    small = build_dihedral_model().big.small
+    form = _sl2_form(m, small, {SIDE_A: range(small.a.order), SIDE_B: range(small.b.order)})
     if build_dihedral_model().small_mats.evaluate(form) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form
@@ -333,11 +339,14 @@ def gl2_split(m: Mat2) -> tuple[Mat2, int]:
 
 
 def gl2_decompose(m: Mat2) -> DihedralAmalgamForm:
-    """Canonical dihedral-amalgam form of a determinant +-1 matrix, checked exactly."""
-    model = build_dihedral_model()
+    """Canonical dihedral-amalgam form of a determinant +-1 matrix, checked exactly:
+    phi(w, eps) = nu(w) * tau(eps) for m = m' J^eps and w the SL2 form of m', but
+    no w is built: the Euclid word of m' is reduced once in the dihedral amalgam."""
+    big = build_dihedral_model().big
     m1, eps = gl2_split(m)
-    form = DihedralAmalgamForm(phi(model.big, _sl2_form(m1), eps))
-    if model.big_mats.evaluate(form.form) != m:
+    base = {SIDE_A: big.base_a, SIDE_B: big.base_b}
+    form = DihedralAmalgamForm(word_mul(big.spec, _sl2_form(m1, big.spec, base), tau(big, eps)))
+    if build_dihedral_model().big_mats.evaluate(form.form) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form
 

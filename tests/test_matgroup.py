@@ -2,6 +2,7 @@
 
 import functools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from amalg import (
     mat_inv,
     mat_mul,
     mat_pow,
+    phi,
     random_form,
     reduce_word,
     sl2_decompose,
@@ -296,9 +298,39 @@ def test_each_decomposition_is_evaluated_once(monkeypatch, m):
         assert len(calls) == 1
 
 
+def count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Count the calls of each amalg function ``names`` ("module.function"),
+    through every amalg module that holds it, so calls between modules count."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        module, attr = name.split(".")
+        true = getattr(sys.modules[f"amalg.{module}"], attr)
+
+        def counted(*args, name=name, true=true):
+            counts[name] += 1
+            return true(*args)
+
+        for mod in [m for n, m in sys.modules.items() if n == "amalg" or n.startswith("amalg.")]:
+            if getattr(mod, attr, None) is true:
+                monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("m", MATRICES)
+def test_each_decomposition_is_reduced_once(monkeypatch, m):
+    build_dihedral_model()  # built before counting: construction is not decomposition
+    counts = count_calls(monkeypatch, "amalgam.reduce_word", "iso.phi", "iso.nu")
+    gl2_decompose(m)
+    assert counts == {"amalgam.reduce_word": 1, "iso.phi": 0, "iso.nu": 0}
+    if mat_det(m) == 1:
+        counts["amalgam.reduce_word"] = 0
+        sl2_decompose(m)
+        assert counts == {"amalgam.reduce_word": 1, "iso.phi": 0, "iso.nu": 0}
+
+
 def test_a_wrong_decomposition_fails_its_evaluation_check(monkeypatch):
     wrong = NormalForm(((SIDE_A, 1),), 0)
-    monkeypatch.setattr(matgroup, "phi", lambda big, form, eps: wrong)
+    monkeypatch.setattr(matgroup, "reduce_word", lambda spec, word: wrong)
     with pytest.raises(RuntimeError, match="failed its evaluation check"):
         gl2_decompose(U)
     monkeypatch.setattr(matgroup, "reduce_word", lambda spec, word: wrong)
@@ -349,14 +381,39 @@ def corrupted(spec, form, what):
     return NormalForm(tuple(head), form.tail)
 
 
+def _decomposable_matrices():
+    """Matrices of determinant +-1: letter words over s, u, j; unipotents
+    [[1, n], [0, 1]] and [[1, 0], [n, 1]], times J or not; continued fractions."""
+    words = st.lists(st.tuples(st.sampled_from("suj"), st.integers(-12, 12).filter(bool)),
+                     max_size=30)
+    unipotents = st.builds(
+        lambda n, upper, eps: mat_mul(Mat2(1, n, 0, 1) if upper else Mat2(1, 0, n, 1),
+                                      mat_pow(J, eps)),
+        st.integers(-400, 400), st.booleans(), st.integers(0, 1))
+    return st.one_of(
+        words.map(lambda letters: evaluate_word(Glt2Word(tuple(letters)))),
+        unipotents,
+        st.lists(st.integers(1, 60), min_size=1, max_size=40).map(continued_fraction_matrix),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_decomposable_matrices())
+def test_gl2_decompose_equals_phi_of_the_sl2_form(model, m):
+    # The iso map is the oracle: one reduction in the dihedral amalgam gives
+    # phi(w, eps) = nu(w) * tau(eps) of the SL2 form w, exactly.
+    m1, eps = gl2_split(m)
+    assert gl2_decompose(m).form == phi(model.big, sl2_decompose(m1), eps)
+
+
 @pytest.mark.parametrize("what", ["syllable", "tail"])
 @pytest.mark.parametrize("m", LONG_MATRICES, ids=["cfrac", "unipotent"])
 def test_the_check_catches_a_wrong_form_deep_in_a_long_decomposition(model, monkeypatch, m, what):
     if mat_det(m) == -1:
         assert min(map(abs, m)) >= 10**99  # every entry has 100 digits or more
-    # gl2_decompose's form comes from phi, sl2_decompose's from reduce_word.
+    # Each decomposition's form comes from its one reduce_word call.
     for decompose, spec, name in (
-        (gl2_decompose, model.big.spec, "phi"),
+        (gl2_decompose, model.big.spec, "reduce_word"),
         (sl2_decompose, model.big.small, "reduce_word"),
     ):
         true = getattr(matgroup, name)

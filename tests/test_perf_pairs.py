@@ -3,6 +3,7 @@ run fails (no perfbench run)."""
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,10 +94,61 @@ def test_main_ends_with_the_verdict_line(tmp_path):
     assert proc.stdout.splitlines()[-1] == "all metrics within bound"
 
 
+def test_main_prints_the_set_up_cpu_of_each_side_before_the_verdict(tmp_path):
+    # Each cold set-up child logs its checkout and workload; the parent's
+    # also burns 30 ms of CPU, the change's none.
+    burn = ("import sys, time\n"
+            "from pathlib import Path\n"
+            "with open(Path('..', 'children.log'), 'a') as log:\n"
+            "    log.write(f'{Path.cwd().name} {sys.argv[1]}\\n')\n"
+            "end = time.process_time() + {seconds}\n"
+            "while time.process_time() < end:\n"
+            "    pass\n")
+    for name, seconds in (("parent", 0.03), ("change", 0.0)):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "cold_setup.py").write_text(
+            burn.replace("{seconds}", str(seconds)))
+    result = "print('{\"metrics\": {\"ops_per_s\": {\"value\": 10}}}')\n"
+    proc = _run_pairs(tmp_path, {"parent": result, "change": result}, [OPS])
+    assert proc.returncode == 0
+    *_, cpu, last = proc.stdout.splitlines()
+    assert last == "all metrics within bound"
+    match = re.fullmatch(
+        r"set-up CPU, median of 20 cold set-up children each \(user\+sys\):"
+        r" parent ([\d.]+) ms -> change ([\d.]+) ms \([+-][\d.]+%\)", cpu)
+    assert match, cpu
+    parent_ms, change_ms = map(float, match.groups())
+    assert parent_ms - change_ms > 20
+    # 20 children per side, alternating: parent first in even rounds.
+    log = (tmp_path / "children.log").read_text().splitlines()
+    assert log == ["parent verify", "change verify", "change verify", "parent verify"] * 10
+
+
+def test_main_skips_the_set_up_cpu_without_a_cold_set_up_script(tmp_path):
+    result = "print('{\"metrics\": {\"ops_per_s\": {\"value\": 10}}}')\n"
+    proc = _run_pairs(tmp_path, {"parent": result, "change": result}, [OPS])
+    assert proc.stdout.splitlines()[-2:] == [
+        "set-up CPU: skipped, no perfbench/cold_setup.py in parent, change",
+        "all metrics within bound",
+    ]
+
+
+def test_a_failing_set_up_child_exits_1_with_one_line(tmp_path):
+    for name, script in (("parent", ""), ("change", "raise SystemExit('no such workload')\n")):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "cold_setup.py").write_text(script)
+    result = "print('{\"metrics\": {}}')\n"
+    proc = _run_pairs(tmp_path, {"parent": result, "change": result})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "perf_pairs: set-up child in change exited 1: no such workload")
+
+
 def _run_pairs(tmp_path, runs, specs=()):
     """perf_pairs.py on two checkouts whose perfbench/run.py are ``runs``."""
     for name, script in runs.items():
-        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench").mkdir(parents=True, exist_ok=True)
         (tmp_path / name / "perfbench" / "run.py").write_text(script)
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(specs)}))
     return subprocess.run(

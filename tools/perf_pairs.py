@@ -12,42 +12,76 @@ median and quartiles, the change's median, how many pairs the change wins
 (ties count for neither side), whether its median is within the metric's
 relative bound of the parent's, and the gain verdict: whether the change wins
 at least 0.9 of the pairs with a median better than the parent's by more than
-the parent's interquartile spread.  One last line names each metric outside
-its bound, or says that all are within bound.  A run that exits non-zero
-stops the tool with exit status 1 and one line naming its checkout, seed,
-exit code and last line of stderr; so does a run whose last stdout line is
-not a JSON result, with that line.  Standard library only.
+the parent's interquartile spread.  After the pairs, SETUP_CHILDREN cold
+``perfbench/cold_setup.py W`` processes run in each checkout, alternating, and
+one line gives each side's median child CPU time (user + sys): wall-clock
+``setup_s`` swings with the host about as widely as its bound, CPU time much
+less.  A checkout without that script gets a line saying so instead.  One last
+line names each metric outside its bound, or says that all are within bound.
+A run or set-up child that exits non-zero stops the tool with exit status 1
+and one line naming its checkout, exit code and last line of stderr (and a
+run's seed); so does a run whose last stdout line is not a JSON result, with
+that line.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# Cold set-up children per checkout for the set-up CPU line.
+SETUP_CHILDREN = 20
+
+
+def _child(checkout: Path, args: list[str], what: str) -> subprocess.CompletedProcess:
+    """Run ``python3 ARGS`` in ``checkout``; if it exits non-zero, exit this
+    tool with status 1 and one line naming ``what``."""
+    proc = subprocess.run([sys.executable, *args], cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        last = (proc.stderr.strip().splitlines() or ["(no stderr)"])[-1]
+        sys.exit(f"perf_pairs: {what} exited {proc.returncode}: {last}")
+    return proc
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
     """One perfbench run in ``checkout``: the values of its last line's metrics.
     A run that exits non-zero, or whose last line is not a JSON result, exits
     this tool with status 1 and one line."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True,
-    )
-    if proc.returncode:
-        last = (proc.stderr.strip().splitlines() or ["(no stderr)"])[-1]
-        sys.exit(f"perf_pairs: run in {checkout} with seed {seed} exited"
-                 f" {proc.returncode}: {last}")
+    proc = _child(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                             "--seconds", str(seconds), "--trace", "0"],
+                  f"run in {checkout} with seed {seed}")
     last = (proc.stdout.strip().splitlines() or ["(no stdout)"])[-1]
     try:
         return {name: m["value"] for name, m in json.loads(last)["metrics"].items()}
     except (ValueError, TypeError, KeyError, AttributeError):
         sys.exit(f"perf_pairs: run in {checkout} with seed {seed} exited 0"
                  f" without a JSON result: {last}")
+
+
+def setup_cpu(parent: Path, change: Path, workload: str) -> str:
+    """The set-up CPU line: the median user + sys time of SETUP_CHILDREN cold
+    set-up children per checkout, parent first in even rounds, read as
+    ``RUSAGE_CHILDREN`` deltas around each child."""
+    missing = [c for c in (parent, change) if not (c / "perfbench" / "cold_setup.py").is_file()]
+    if missing:
+        return "set-up CPU: skipped, no perfbench/cold_setup.py in " + ", ".join(map(str, missing))
+    cpu: dict[Path, list[float]] = {parent: [], change: []}
+    for i in range(SETUP_CHILDREN):
+        for checkout in (parent, change) if i % 2 == 0 else (change, parent):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            _child(checkout, ["perfbench/cold_setup.py", workload], f"set-up child in {checkout}")
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpu[checkout].append(after.ru_utime - before.ru_utime
+                                 + after.ru_stime - before.ru_stime)
+    p_med, c_med = (statistics.median(cpu[c]) * 1e3 for c in (parent, change))
+    rel = (c_med / p_med - 1) if p_med else 0.0
+    return (f"set-up CPU, median of {SETUP_CHILDREN} cold set-up children each (user+sys):"
+            f" parent {p_med:.1f} ms -> change {c_med:.1f} ms ({rel:+.1%})")
 
 
 def summarize(
@@ -128,9 +162,11 @@ def main() -> None:
         for checkout in order:
             runs[checkout].append(run_once(checkout, args.workload, seed, args.seconds))
             print(f"pair {i + 1}/{args.pairs} seed {seed} {checkout}: done", file=sys.stderr)
+    cpu_line = setup_cpu(args.parent, args.change, args.workload)
     print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs,"
           f" seeds {args.seed}-{args.seed + args.pairs - 1}")
     print(report(specs, runs[args.parent], runs[args.change]))
+    print(cpu_line)
     print(verdict(specs, runs[args.parent], runs[args.change]))
 
 
