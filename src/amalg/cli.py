@@ -117,10 +117,10 @@ class _Scanner:
 
 def integer(text: str) -> int:
     """``text`` as one integer of the word grammar: '-'? then ASCII digits."""
-    # On ASCII text with no '+' or '_', int() accepts just that, and spaces.
-    if not text.isascii() or "+" in text or "_" in text:
-        raise ValueError(f"invalid integer {text!r}")
-    return int(text)
+    s = _Scanner(text)
+    value = s.integer()
+    s.end()
+    return value
 
 
 def parse_matrix(text: str) -> Mat2:

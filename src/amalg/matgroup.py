@@ -12,9 +12,9 @@ to determinant -1 through the order-2 section
     J = [[0, 1], [1, 0]]     (J S J = S^-1, J U J = U^-1)
 
 landing in the dihedral amalgam built from Z4 x| Z2, Z6 x| Z2, Z2 x| Z2 with
-inversion actions as phi(w, eps) = nu(w) * tau(eps) of the SL2 form w, with one
-reduction there: nu maps each syllable to one syllable and normal forms are
-unique.  All arithmetic is plain Python int, so entries may grow without overflow.
+inversion actions, whose realization ``build_dihedral_model`` tabulates once.
+Both reduce their Euclid word once.  All arithmetic is plain Python int, so
+entries may grow without overflow.
 
 ``LETTERS`` is the one table of the letters s, u, j: their powers, orders and
 amalgam sides.  Every function here that reads or writes letter words uses it.
@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .amalgam import (
-    SIDE_A, SIDE_B, AmalgamSpec, NormalForm, Syllable, check_form, make_amalgam, reduce_word,
-    to_word, word_mul,
+    SIDE_A, SIDE_B, NormalForm, Syllable, check_form, make_amalgam, reduce_word, to_word,
 )
 from .groups import hom_from_generators, inversion_action, make_cyclic
-from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam, nu, tau
-from .products import SemidirectGroup
+from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam, nu
 
 __all__ = [
     "Mat2",
@@ -198,19 +197,19 @@ class SyllableMatrices(NamedTuple):
 
 
 class DihedralModel(NamedTuple):
-    """The dihedral amalgam together with its matrix realization.
-
-    In the small amalgam Z4 *_Z2 Z6, side a is n -> S^n, side b is n -> U^n
-    and the subgroup is d -> S^2d = (-I)^d.  In the dihedral amalgam, side a
-    is Z4 x| Z2 realized by (n, c) -> S^n J^c, side b is Z6 x| Z2 realized by
-    (n, c) -> U^n J^c, and the subgroup Z2 x| Z2 is realized by
-    (d, c) -> (-I)^d J^c.  Both lifted embeddings realize the same matrices
-    because S^2 = U^3 = -I.
+    """The dihedral amalgam together with its matrix realization, as
+    ``build_dihedral_model`` tabulates it: ``small_mats`` for the small
+    amalgam Z4 *_Z2 Z6, and for the dihedral one the letter word of each
+    syllable of each side (``letters``, pairs (side, words)), their matrices
+    (``big_mats``) and the syllable of each one-letter word (``syllables``,
+    pairs ((letter, k), syllable)).
     """
 
     big: BigAmalgam
     small_mats: SyllableMatrices
     big_mats: SyllableMatrices
+    letters: tuple[tuple[str, tuple[tuple[tuple[str, int], ...], ...]], ...]
+    syllables: tuple[tuple[tuple[str, int], Syllable], ...]
 
     def side_matrix(self, side: str, x: int) -> Mat2:
         check_form(self.big.spec, NormalForm(((side, x),), self.big.spec.d.identity))
@@ -224,7 +223,11 @@ class DihedralModel(NamedTuple):
 @lru_cache(maxsize=1)
 def build_dihedral_model() -> DihedralModel:
     """Construct the Z4/Z6/Z2 amalgam, its Z2-inversion lift, and the
-    syllable matrix tables of both."""
+    realization of both.  In the small amalgam side a is n -> S^n and side b
+    is n -> U^n.  In the dihedral amalgam the syllable (n, c) is the letter
+    word s^n j^c on side a and u^n j^c on side b, with only nonzero
+    exponents; the subgroup is realized through side a's lifted embedding,
+    and side b's would give the same matrices because S^2 = U^3 = -I."""
     a_pows, b_pows = (LETTERS[_SIDE_LETTER[side]].powers for side in (SIDE_A, SIDE_B))
     z2, za, zb = make_cyclic(2), make_cyclic(len(a_pows)), make_cyclic(len(b_pows))
     # The subgroup is generated by -I, the half-order power on both sides.
@@ -242,22 +245,18 @@ def build_dihedral_model() -> DihedralModel:
         inversion_action(actor, z2),
     )
     big = make_big_amalgam(small, acts)
+    small_mats = SyllableMatrices(a_pows, b_pows, tuple(a_pows[x] for x in small.iota_a.image))
 
-    d_pows = tuple(a_pows[x] for x in small.iota_a.image)
-    small_mats = SyllableMatrices(a_pows, b_pows, d_pows)
-
-    def lifted(sd: SemidirectGroup, base: tuple[Mat2, ...]) -> tuple[Mat2, ...]:
-        return tuple(
-            mat_mul(base[n], _J) if c else base[n]
-            for n, c in map(sd.decode, sd.flat.elements())
-        )
-
-    big_mats = SyllableMatrices(
-        lifted(big.sd_a, small_mats.a),
-        lifted(big.sd_b, small_mats.b),
-        lifted(big.sd_d, small_mats.d),
+    letters = tuple(
+        (side, tuple(fold_letters(((_SIDE_LETTER[side], n), ("j", c)))
+                     for n, c in map(sd.decode, sd.flat.elements())))
+        for side, sd in ((SIDE_A, big.sd_a), (SIDE_B, big.sd_b))
     )
-    return DihedralModel(big, small_mats, big_mats)
+    a_mats, b_mats = (tuple(_table_product(LETTERS, word) for word in words) for _, words in letters)
+    big_mats = SyllableMatrices(a_mats, b_mats, tuple(a_mats[x] for x in big.spec.iota_a.image))
+    syllables = {word[0]: (side, x) for side, words in letters
+                 for x, word in enumerate(words) if len(word) == 1}
+    return DihedralModel(big, small_mats, big_mats, letters, tuple(syllables.items()))
 
 
 def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
@@ -277,53 +276,47 @@ def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
     raise TypeError(f"cannot evaluate {type(word).__name__}")
 
 
-def _sl2_form(m: Mat2, spec: AmalgamSpec, base: Mapping[str, Sequence[int]]) -> NormalForm:
-    """The normal form of a determinant-1 matrix in ``spec``, unchecked.
+def _euclid_word(m: Mat2, syllable: Callable[[str, int], Syllable]) -> list[Syllable]:
+    """The raw word of a determinant-1 matrix, unchecked, with
+    ``syllable(name, k)`` the syllable of the letter power name^k.
 
     Euclidean reduction on the first column: while the lower-left entry is
     nonzero, M = T^q * S^-1 * (S * T^-q * M) with q the nearest-integer
     quotient, which at least halves |c|, so the loop takes logarithmically
     many steps.  The terminal +-upper-triangular matrix is a power of
-    T = S^-1 U times a central element.  Each syllable (side, x) of the word,
-    a power of S or U in the Z4/Z6/Z2 amalgam, is written (side, base[side][x])
-    and the word reduced once in ``spec``: the small amalgam with identity
-    tables, or the dihedral one with nu's, giving nu of the small form.
+    T = S^-1 U times a central element.
     """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    quotients: list[int] = []
-    while c != 0:
-        q = (2 * a + c) // (2 * c)
-        a, b, c, d = -c, -d, a - q * c, b - q * d
-        quotients.append(q)
-    # Now [[a, b], [0, a]] with a = +-1: that is (-I if a = -1) * T^(a*b).
     # T = S^-1 U, so T^k is k pairs (S^-1, U) and T^-k is k pairs (U^-1, S).
-    steps = (("s", -1), ("u", 1), ("u", -1), ("s", 1), ("s", 2))
-    s_inv, u1, u_inv, s1, s2 = [(side, base[side][x]) for side, x in
-                                (LETTERS[name].syllable(k) for name, k in steps)]
+    s_inv, u1, u_inv, s1, s2 = (syllable(name, k) for name, k in
+                                (("s", -1), ("u", 1), ("u", -1), ("s", 1), ("s", 2)))
     t_step, t_inv_step = (s_inv, u1), (u_inv, s1)
-    syls: list[Syllable] = []
+    word: list[Syllable] = []
 
     def emit_t_power(k: int) -> None:
         if abs(k) > sys.maxsize // 2:
             raise ValueError(f"T^{k} needs {2 * abs(k)} syllables, more than a list can hold")
-        syls.extend((t_step if k > 0 else t_inv_step) * abs(k))
+        word.extend((t_step if k > 0 else t_inv_step) * abs(k))
 
-    for q in quotients:
+    a, b, c, d = m.a, m.b, m.c, m.d
+    while c != 0:
+        q = (2 * a + c) // (2 * c)
+        a, b, c, d = -c, -d, a - q * c, b - q * d
         emit_t_power(q)
-        syls.append(s_inv)
+        word.append(s_inv)
+    # Now [[a, b], [0, a]] with a = +-1: that is (-I if a = -1) * T^(a*b).
     if a == -1:
-        syls.append(s2)
+        word.append(s2)
     emit_t_power(a * b)
-    return reduce_word(spec, syls)
+    return word
 
 
 def sl2_decompose(m: Mat2) -> NormalForm:
     """Canonical amalgam normal form of a determinant-1 matrix, checked exactly."""
     if mat_det(m) != 1:
         raise ValueError(f"matrix has determinant {mat_det(m)}, expected 1")
-    small = build_dihedral_model().big.small
-    form = _sl2_form(m, small, {SIDE_A: range(small.a.order), SIDE_B: range(small.b.order)})
-    if build_dihedral_model().small_mats.evaluate(form) != m:
+    model = build_dihedral_model()
+    form = reduce_word(model.big.small, _euclid_word(m, lambda name, k: LETTERS[name].syllable(k)))
+    if model.small_mats.evaluate(form) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form
 
@@ -339,45 +332,41 @@ def gl2_split(m: Mat2) -> tuple[Mat2, int]:
 
 
 def gl2_decompose(m: Mat2) -> DihedralAmalgamForm:
-    """Canonical dihedral-amalgam form of a determinant +-1 matrix, checked exactly:
-    phi(w, eps) = nu(w) * tau(eps) for m = m' J^eps and w the SL2 form of m', but
-    no w is built: the Euclid word of m' is reduced once in the dihedral amalgam."""
-    big = build_dihedral_model().big
+    """Canonical dihedral-amalgam form of a determinant +-1 matrix, checked
+    exactly: for m = m' J^eps, the Euclid word of m' then j^eps, with each
+    letter power read as a dihedral syllable, reduced once."""
+    model = build_dihedral_model()
     m1, eps = gl2_split(m)
-    base = {SIDE_A: big.base_a, SIDE_B: big.base_b}
-    form = DihedralAmalgamForm(word_mul(big.spec, _sl2_form(m1, big.spec, base), tau(big, eps)))
-    if build_dihedral_model().big_mats.evaluate(form.form) != m:
+    syllables = dict(model.syllables)
+    word = _euclid_word(m1, lambda name, k: syllables[name, k % len(LETTERS[name].powers)])
+    if eps:
+        word.append(syllables["j", eps])
+    form = DihedralAmalgamForm(reduce_word(model.big.spec, word))
+    if model.big_mats.evaluate(form.form) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form
 
 
 def word_to_form(word: Glt2Word) -> DihedralAmalgamForm:
     """Reduce a letter word directly into the dihedral amalgam."""
-    big = build_dihedral_model().big
-    base = {SIDE_A: big.base_a, SIDE_B: big.base_b}
+    model = build_dihedral_model()
+    syllables = dict(model.syllables)
     syls: list[Syllable] = []
     for name, k in word.letters:
-        letter = _letter(name)
-        if letter.side:
-            side, x = letter.syllable(k)
-            syls.append((side, base[side][x]))
-        else:  # j generates the actor: (0, 1) on side a
-            syls.append((SIDE_A, big.sd_a.encode(0, k % len(letter.powers))))
-    return DihedralAmalgamForm(reduce_word(big.spec, syls))
+        k %= len(_letter(name).powers)
+        if k:
+            syls.append(syllables[name, k])
+    return DihedralAmalgamForm(reduce_word(model.big.spec, syls))
 
 
 def form_to_letters(form: DihedralAmalgamForm) -> Glt2Word:
-    """Render a dihedral form as a letter word, folding adjacent letters: a
-    syllable (n, c) is its side's letter to the n, then j to the c."""
-    big = build_dihedral_model().big
-    q = big.actor.order
-    raw: list[tuple[str, int]] = []
-    for side, x in to_word(big.spec, form.form):
-        n, c = divmod(x, q)
-        raw.append((_SIDE_LETTER[side], n))
-        if c:
-            raw.append(("j", c))
-    return Glt2Word(fold_letters(raw))
+    """Render a dihedral form as a letter word: the letter words of its
+    syllables, with adjacent equal letters folded."""
+    model = build_dihedral_model()
+    letters = dict(model.letters)
+    return Glt2Word(fold_letters(chain.from_iterable(
+        [letters[side][x] for side, x in to_word(model.big.spec, form.form)]
+    )))
 
 
 def small_form_to_letters(form: NormalForm) -> Glt2Word:

@@ -14,6 +14,8 @@ import amalg.matgroup as matgroup
 from amalg import SIDE_A, Mat2, NormalForm
 from amalg.cli import (
     ParseError,
+    _Scanner,
+    integer,
     parse_amalgam_word,
     parse_action_spec,
     parse_gen_map,
@@ -521,6 +523,42 @@ def test_iso_check_integers_are_ascii_digits(capsys, flag, value):
     args[args.index(flag) + 1] = value
     assert run(args) == 2
     assert repr(value) in capsys.readouterr().err
+
+
+def scanned(text):
+    """``text`` read by the word grammar's scanner as one integer and nothing else."""
+    s = _Scanner(text)
+    value = s.integer()
+    s.end()
+    return value
+
+
+# One integer grammar: integer() reads what the scanner reads, and blanks
+# that the scanner skips may surround it.
+@pytest.mark.parametrize("text, expected", [
+    ("0", 0), ("-17", -17), (" 42 ", 42), ("\t1", 1), ("\x0b1", 1), ("\x1c1", 1),
+    ("\x1d1", 1), ("\x1e1", 1), ("\x1f1", 1), ("\xa01", 1), ("1\xa0", 1),
+    ("+1", None), ("1_0", None), ("٣", None), ("", None), ("-", None), ("--1", None),
+    ("1 2", None), ("- 1", None), ("9" * 5000, None),
+])
+def test_integer_reads_as_the_scanner_reads(int_digit_limit, text, expected):
+    for read in (integer, scanned):
+        if expected is None:
+            with pytest.raises(ValueError):
+                read(text)
+        else:
+            assert read(text) == expected
+
+
+def test_iso_check_seed_may_have_blanks_the_scanner_skips(capsys):
+    args = ["iso-check", "--A", "Z4", "--B", "Z6", "--D", "Z2", "--C", "Z2", "--iotaA", "1:2",
+            "--iotaB", "1:3", "--actA", "inv", "--actB", "inv", "--actD", "inv",
+            "--bound", "1", "--samples", "3", "--seed", "1"]
+    assert run(args) == 0
+    expected = capsys.readouterr()
+    args[-1] = "\x1c1"
+    assert run(args) == 0
+    assert capsys.readouterr() == expected
 
 
 @pytest.mark.parametrize("flag, value", [("--samples", "-5"), ("--bound", "-3")])

@@ -222,6 +222,44 @@ def test_word_to_form_rejects_unknown_letter():
         word_to_form(Glt2Word((("x", 1),)))
 
 
+def divmod_letters(model, form):
+    """The rendering of a dihedral form read as flat pairs: each syllable or
+    tail x of side a or b is divmod(x, |C|) = (n, c), written s^n or u^n
+    then j^c, and the raw letters are folded."""
+    raw = []
+    for side, x in to_word(model.big.spec, form):
+        n, c = divmod(x, model.big.actor.order)
+        raw.append(({SIDE_A: "s", SIDE_B: "u"}[side], n))
+        if c:
+            raw.append(("j", c))
+    return Glt2Word(matgroup.fold_letters(raw))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_caller_forms_render_as_their_flat_pairs(model, data):
+    # Any element of either side, the identity included, next to any other,
+    # on the same side or not, and any tail: every form check_form accepts.
+    spec = model.big.spec
+    head = data.draw(st.lists(st.sampled_from(sorted(spec.syllables)), max_size=12))
+    form = NormalForm(tuple(head), data.draw(st.integers(0, spec.d.order - 1)))
+    assert form_to_letters(DihedralAmalgamForm(form)) == divmod_letters(model, form)
+
+
+def test_each_letter_power_is_read_as_its_flat_pair(model):
+    big = model.big
+    base = {SIDE_A: big.base_a, SIDE_B: big.base_b}
+    for name, letter in matgroup.LETTERS.items():
+        for k in range(-13, 14):
+            if letter.side:
+                side, x = letter.syllable(k)
+                syllable = (side, base[side][x])
+            else:  # j generates the actor: (0, c) on side a
+                syllable = (SIDE_A, big.sd_a.encode(0, k % len(letter.powers)))
+            expected = reduce_word(big.spec, [syllable])
+            assert word_to_form(Glt2Word(((name, k),))).form == expected, (name, k)
+
+
 def test_form_to_letters_round_trips_through_evaluation():
     rng = random.Random(24)
     for _ in range(100):
@@ -319,13 +357,15 @@ def count_calls(monkeypatch, *names: str) -> dict[str, int]:
 @pytest.mark.parametrize("m", MATRICES)
 def test_each_decomposition_is_reduced_once(monkeypatch, m):
     build_dihedral_model()  # built before counting: construction is not decomposition
-    counts = count_calls(monkeypatch, "amalgam.reduce_word", "iso.phi", "iso.nu")
+    names = ("amalgam.reduce_word", "iso.phi", "iso.nu", "amalgam.word_mul", "iso.tau")
+    once = {name: int(name == "amalgam.reduce_word") for name in names}
+    counts = count_calls(monkeypatch, *names)
     gl2_decompose(m)
-    assert counts == {"amalgam.reduce_word": 1, "iso.phi": 0, "iso.nu": 0}
+    assert counts == once
     if mat_det(m) == 1:
         counts["amalgam.reduce_word"] = 0
         sl2_decompose(m)
-        assert counts == {"amalgam.reduce_word": 1, "iso.phi": 0, "iso.nu": 0}
+        assert counts == once
 
 
 def test_a_wrong_decomposition_fails_its_evaluation_check(monkeypatch):

@@ -133,6 +133,18 @@ def test_main_skips_the_set_up_cpu_without_a_cold_set_up_script(tmp_path):
     ]
 
 
+def test_main_prints_the_src_line_total_of_each_side_before_the_set_up_cpu(tmp_path):
+    for name, files in (("parent", {"a.py": "x\n" * 3, "b.py": "y\n"}),
+                        ("change", {"a.py": "x\n", "notes.txt": "z\n" * 9})):
+        (tmp_path / name / "src" / "amalg").mkdir(parents=True)
+        for file, text in files.items():
+            (tmp_path / name / "src" / "amalg" / file).write_text(text)
+    result = "print('{\"metrics\": {\"ops_per_s\": {\"value\": 10}}}')\n"
+    proc = _run_pairs(tmp_path, {"parent": result, "change": result}, [OPS])
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-3] == "src/amalg/*.py lines: parent 4 -> change 1 (-3)"
+
+
 def test_a_failing_set_up_child_exits_1_with_one_line(tmp_path):
     for name, script in (("parent", ""), ("change", "raise SystemExit('no such workload')\n")):
         (tmp_path / name / "perfbench").mkdir(parents=True)

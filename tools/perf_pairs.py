@@ -16,8 +16,10 @@ the parent's interquartile spread.  After the pairs, SETUP_CHILDREN cold
 ``perfbench/cold_setup.py W`` processes run in each checkout, alternating, and
 one line gives each side's median child CPU time (user + sys): wall-clock
 ``setup_s`` swings with the host about as widely as its bound, CPU time much
-less.  A checkout without that script gets a line saying so instead.  One last
-line names each metric outside its bound, or says that all are within bound.
+less.  A checkout without that script gets a line saying so instead.  Just
+before the set-up CPU line, one line gives each checkout's ``src/amalg/*.py``
+line total, as ``wc -l`` counts it, and the change's delta.  One last line
+names each metric outside its bound, or says that all are within bound.
 A run or set-up child that exits non-zero stops the tool with exit status 1
 and one line naming its checkout, exit code and last line of stderr (and a
 run's seed); so does a run whose last stdout line is not a JSON result, with
@@ -82,6 +84,14 @@ def setup_cpu(parent: Path, change: Path, workload: str) -> str:
     rel = (c_med / p_med - 1) if p_med else 0.0
     return (f"set-up CPU, median of {SETUP_CHILDREN} cold set-up children each (user+sys):"
             f" parent {p_med:.1f} ms -> change {c_med:.1f} ms ({rel:+.1%})")
+
+
+def src_lines(parent: Path, change: Path) -> str:
+    """The line total of ``src/amalg/*.py`` in each checkout (newlines, as
+    ``wc -l`` counts them) and the change's delta."""
+    p, c = (sum(f.read_bytes().count(b"\n") for f in (checkout / "src" / "amalg").glob("*.py"))
+            for checkout in (parent, change))
+    return f"src/amalg/*.py lines: parent {p} -> change {c} ({c - p:+d})"
 
 
 def summarize(
@@ -166,6 +176,7 @@ def main() -> None:
     print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs,"
           f" seeds {args.seed}-{args.seed + args.pairs - 1}")
     print(report(specs, runs[args.parent], runs[args.change]))
+    print(src_lines(args.parent, args.change))
     print(cpu_line)
     print(verdict(specs, runs[args.parent], runs[args.change]))
 
