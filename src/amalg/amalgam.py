@@ -19,12 +19,20 @@ subgroup part via the decomposition table, and pushes the representative
 unless it is the identity.  Because the subgroup part always trails, it
 never has to travel back through the stack, so each syllable costs O(1)
 table lookups and reduction is linear in the word length.
+
+A word may also be given as runs (block, k), the block repeated k times.
+Folding m syllables pops at most m entries, so a block of m syllables reads
+and rewrites only the top m.  While the stack has not shrunk from one block
+boundary to the next, the state (d, top m entries) at a boundary fixes every
+later boundary, up to the untouched entries below.  So once a state recurs,
+each further period pushes the same entries under the top m, and a periodic
+run costs O(period) folds however large k is (``reduce_runs``).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .groups import FiniteGroup, GroupHom, is_injective, make_hom
 
@@ -146,15 +154,16 @@ def identity_form(spec: AmalgamSpec) -> NormalForm:
 
 
 def _append(
-    spec: AmalgamSpec, stack: list[Syllable], d: int, syllables: Iterable[Syllable]
+    spec: AmalgamSpec, stack: list[Syllable], d: int, syllables: Sequence[Syllable]
 ) -> int:
     """Append raw syllables to the normal form (stack, d) in place.
 
     Returns the new trailing subgroup part; ``stack`` is mutated.  An element
-    that is not an int in range, such as 1.5 or "1", is out of range.
+    that is not an int in range, such as 1.5 or "1", is out of range, and a
+    syllable that is not a (side, element) pair is named with its position.
     """
     side_a, side_b = spec.tables_a, spec.tables_b
-    x = 0  # a TypeError with x an int comes from a syllable that is not a pair
+    x = 0  # an error with x an int comes from a syllable that is not a pair
     try:
         for side, x in syllables:
             if side == SIDE_A:
@@ -162,7 +171,7 @@ def _append(
             elif side == SIDE_B:
                 mul, decomp, img, e = side_b
             else:
-                raise ValueError(f"unknown side {side!r}")
+                break
             if not 0 <= x < len(mul):
                 break
             x = mul[img[d]][x]
@@ -173,9 +182,17 @@ def _append(
                 stack.append((side, t))
         else:
             return d
-    except TypeError:
-        if isinstance(x, int):
-            raise
+    except (TypeError, ValueError):
+        if isinstance(x, int):  # every syllable before the failing one is a pair
+            for i, syllable in enumerate(syllables):
+                try:
+                    side, x = syllable
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"syllable {syllable!r} at position {i} is not a (side, element) pair"
+                    ) from None
+    if side not in (SIDE_A, SIDE_B):
+        raise ValueError(f"unknown side {side!r}")
     raise ValueError(f"element {x!r} out of range for side {side} of {spec.label}")
 
 
@@ -183,8 +200,36 @@ def reduce_word(spec: AmalgamSpec, word: Iterable[Syllable]) -> NormalForm:
     """Fold a raw word, a sequence of syllables (side, element index), into
     its unique normal form, left to right, in time linear in its length."""
     stack: list[Syllable] = []
+    word = word if isinstance(word, (list, tuple)) else list(word)  # read again on errors
     tail = _append(spec, stack, spec.d.identity, word)
     return NormalForm(tuple(stack), tail)
+
+
+def reduce_runs(spec: AmalgamSpec, runs: Iterable[tuple[Sequence[Syllable], int]]) -> NormalForm:
+    """The normal form of a word given as runs (block, k), each the block
+    repeated k times.  Once a run's state recurs (see the module docstring),
+    its whole periods left are inserted with one list repeat."""
+    stack: list[Syllable] = []
+    d = spec.d.identity
+    for block, k in runs:
+        if k == 1:
+            d = _append(spec, stack, d, block)
+            continue
+        m = len(block)
+        seen: dict[tuple, tuple[int, int]] = {}  # state -> (boundary, stack height)
+        height = len(stack)
+        for i in range(k):
+            if len(stack) < height:
+                seen.clear()  # entries under the earlier states' tops were popped
+            height = len(stack)
+            j, h = seen.setdefault((d, tuple(stack[-m:])), (i, height))
+            if j < i:
+                periods, rest = divmod(k - i, i - j)
+                stack[height - m:height - m] = stack[h - m:height - m] * periods
+                d = _append(spec, stack, d, block * rest)
+                break
+            d = _append(spec, stack, d, block)
+    return NormalForm(tuple(stack), d)
 
 
 def check_form(spec: AmalgamSpec, form: NormalForm) -> None:

@@ -13,8 +13,9 @@ to determinant -1 through the order-2 section
 
 landing in the dihedral amalgam built from Z4 x| Z2, Z6 x| Z2, Z2 x| Z2 with
 inversion actions, whose realization ``build_dihedral_model`` tabulates once.
-Both reduce their Euclid word once.  All arithmetic is plain Python int, so
-entries may grow without overflow.
+Both reduce their Euclid word once, with each long T^q folded a period at a
+time as a run, and evaluate the flat form exactly.  All arithmetic is plain
+Python int, so entries may grow without overflow.
 
 ``LETTERS`` is the one table of the letters s, u, j: their powers, orders and
 amalgam sides.  Every function here that reads or writes letter words uses it.
@@ -25,10 +26,11 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from itertools import chain
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .amalgam import (
-    SIDE_A, SIDE_B, NormalForm, Syllable, check_form, make_amalgam, reduce_word, to_word,
+    SIDE_A, SIDE_B, NormalForm, Syllable, check_form, make_amalgam, reduce_runs, reduce_word,
+    to_word,
 )
 from .groups import hom_from_generators, inversion_action, make_cyclic
 from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam, nu
@@ -276,9 +278,17 @@ def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
     raise TypeError(f"cannot evaluate {type(word).__name__}")
 
 
-def _euclid_word(m: Mat2, syllable: Callable[[str, int], Syllable]) -> list[Syllable]:
-    """The raw word of a determinant-1 matrix, unchecked, with
-    ``syllable(name, k)`` the syllable of the letter power name^k.
+# A T^q with |q| above this many blocks is one run, folded in O(period)
+# blocks; shorter powers stay flat, where tracking the run's state costs more
+# than it saves (perfbench's random decompose words took about 50% longer at a
+# cutoff of 2 and 15% longer at 4).
+_RUN_CUTOFF = 16
+
+
+def _euclid_runs(m: Mat2, syllable: Callable[[str, int], Syllable]) -> list[tuple[Sequence, int]]:
+    """The raw word of a determinant-1 matrix as runs (block, k) for
+    ``reduce_runs``, unchecked, with ``syllable(name, k)`` the syllable of the
+    letter power name^k.
 
     Euclidean reduction on the first column: while the lower-left entry is
     nonzero, M = T^q * S^-1 * (S * T^-q * M) with q the nearest-integer
@@ -290,24 +300,32 @@ def _euclid_word(m: Mat2, syllable: Callable[[str, int], Syllable]) -> list[Syll
     s_inv, u1, u_inv, s1, s2 = (syllable(name, k) for name, k in
                                 (("s", -1), ("u", 1), ("u", -1), ("s", 1), ("s", 2)))
     t_step, t_inv_step = (s_inv, u1), (u_inv, s1)
-    word: list[Syllable] = []
+    runs: list[tuple[Sequence[Syllable], int]] = []
+    flat: list[Syllable] = []
 
     def emit_t_power(k: int) -> None:
-        if abs(k) > sys.maxsize // 2:
-            raise ValueError(f"T^{k} needs {2 * abs(k)} syllables, more than a list can hold")
-        word.extend((t_step if k > 0 else t_inv_step) * abs(k))
+        nonlocal flat
+        n = abs(k)
+        if n <= _RUN_CUTOFF:
+            flat.extend((t_step if k > 0 else t_inv_step) * n)
+            return
+        if n > sys.maxsize // 2:
+            raise ValueError(f"T^{k} needs {2 * n} syllables, more than a list can hold")
+        runs.extend(((flat, 1), (t_step if k > 0 else t_inv_step, n)))
+        flat = []
 
     a, b, c, d = m.a, m.b, m.c, m.d
     while c != 0:
         q = (2 * a + c) // (2 * c)
         a, b, c, d = -c, -d, a - q * c, b - q * d
         emit_t_power(q)
-        word.append(s_inv)
+        flat.append(s_inv)
     # Now [[a, b], [0, a]] with a = +-1: that is (-I if a = -1) * T^(a*b).
     if a == -1:
-        word.append(s2)
+        flat.append(s2)
     emit_t_power(a * b)
-    return word
+    runs.append((flat, 1))
+    return runs
 
 
 def sl2_decompose(m: Mat2) -> NormalForm:
@@ -315,7 +333,7 @@ def sl2_decompose(m: Mat2) -> NormalForm:
     if mat_det(m) != 1:
         raise ValueError(f"matrix has determinant {mat_det(m)}, expected 1")
     model = build_dihedral_model()
-    form = reduce_word(model.big.small, _euclid_word(m, lambda name, k: LETTERS[name].syllable(k)))
+    form = reduce_runs(model.big.small, _euclid_runs(m, lambda name, k: LETTERS[name].syllable(k)))
     if model.small_mats.evaluate(form) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form
@@ -338,10 +356,10 @@ def gl2_decompose(m: Mat2) -> DihedralAmalgamForm:
     model = build_dihedral_model()
     m1, eps = gl2_split(m)
     syllables = dict(model.syllables)
-    word = _euclid_word(m1, lambda name, k: syllables[name, k % len(LETTERS[name].powers)])
+    runs = _euclid_runs(m1, lambda name, k: syllables[name, k % len(LETTERS[name].powers)])
     if eps:
-        word.append(syllables["j", eps])
-    form = DihedralAmalgamForm(reduce_word(model.big.spec, word))
+        runs.append(((syllables["j", eps],), 1))
+    form = DihedralAmalgamForm(reduce_runs(model.big.spec, runs))
     if model.big_mats.evaluate(form.form) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form

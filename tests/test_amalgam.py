@@ -27,6 +27,8 @@ from amalg import (
     word_mul,
 )
 
+from amalg.amalgam import reduce_runs
+
 from oracles import ClosureOracle, all_words
 
 
@@ -155,10 +157,13 @@ def test_reduce_rejects_bad_syllables(small_spec):
         reduce_word(small_spec, [("c", 0)])
     with pytest.raises(ValueError, match="out of range"):
         reduce_word(small_spec, [(SIDE_A, 4)])
-    # A syllable that is not a pair is not reported as an element out of range.
-    for word in ([5], [(SIDE_A, 1), 5]):
-        with pytest.raises(TypeError, match="cannot unpack"):
+    # A syllable that is not a pair is named with its position, not reported
+    # as an element out of range or as Python's unpacking error.
+    for word, syllable, i in (([5], "5", 0), ([(SIDE_A, 1), 5], "5", 1),
+                              ([("a", 1, 2)], "('a', 1, 2)", 0), ([(SIDE_B, 1), "a"], "'a'", 1)):
+        with pytest.raises(ValueError) as err:
             reduce_word(small_spec, word)
+        assert str(err.value) == f"syllable {syllable} at position {i} is not a (side, element) pair"
 
 
 def test_reduce_is_idempotent_on_enumerated_forms(small_spec):
@@ -258,6 +263,38 @@ def test_word_mul_by_a_headless_form_agrees_with_concatenation(model, name):
             word_mul(spec, identity_form(spec), NormalForm((), tail))
         assert str(err.value) == (
             f"tail {tail!r} out of range for the subgroup {spec.d.label} of {spec.label}")
+
+
+def random_raw_word(rng, spec, length):
+    groups = {SIDE_A: spec.a, SIDE_B: spec.b}
+    return [(side, rng.randrange(groups[side].order))
+            for side in (rng.choice((SIDE_A, SIDE_B)) for _ in range(length))]
+
+
+def random_run(rng, spec, prefix):
+    """A block and a count: the block is random, or the inverse of a stretch
+    of the prefix's end, perhaps with a syllable added, so that repeating it
+    first shrinks the stack; the count is 0, 1, small or large."""
+    if prefix and rng.random() < 0.5:
+        inv = {SIDE_A: spec.a.inv, SIDE_B: spec.b.inv}
+        block = [(s, inv[s][x]) for s, x in reversed(prefix[-rng.randint(1, len(prefix)):])]
+        block += random_raw_word(rng, spec, rng.randint(0, 1))
+    else:
+        block = random_raw_word(rng, spec, rng.randint(1, 4))
+    k = rng.choice((0, 1, rng.randint(2, 40), rng.randint(100, 2000)))
+    return block, k
+
+
+@pytest.mark.parametrize("name", ["small", "big", "dihedral", "nonabelian"])
+def test_a_run_reduces_as_its_expanded_word(model, name):
+    spec = make_nonabelian_amalgam() if name == "nonabelian" else AMALGAMS[name](model)
+    rng = random.Random(21)
+    for _ in range(600):
+        prefix = random_raw_word(rng, spec, rng.randint(0, 8))
+        block, k = random_run(rng, spec, prefix)
+        suffix = random_raw_word(rng, spec, rng.randint(0, 4))
+        runs = [(prefix, 1), (block, k), (suffix, 1)]
+        assert reduce_runs(spec, runs) == reduce_word(spec, prefix + block * k + suffix), runs
 
 
 def test_word_eq_accepts_raw_and_reduced_arguments(small_spec):

@@ -29,6 +29,7 @@ from amalg import (
     word_inv,
     word_mul,
 )
+from amalg import amalgam
 
 WORDS = 10_000
 MAX_LEN = 12
@@ -157,3 +158,23 @@ def test_long_unipotent_decomposes_and_evaluates_back():
         acc = mat_mul(acc, mat_pow(s_mat if side == SIDE_A else u_mat, x))
     assert mat_mul(acc, mat_pow(s_mat, 2 * form.tail)) == m
     assert evaluate_word(form) == m
+
+
+def test_a_unipotent_folds_as_many_blocks_whatever_its_size(monkeypatch):
+    # T^N is one run of N (S^-1, U) blocks: the fold stops once the state
+    # recurs, so the syllables _append folds do not grow with N.
+    folded = []
+    true = amalgam._append
+
+    def counted(spec, stack, d, syllables):
+        folded.append(len(syllables))
+        return true(spec, stack, d, syllables)
+
+    monkeypatch.setattr(amalgam, "_append", counted)
+    counts = {}
+    for n in (10**3, 10**4, 10**5):
+        folded.clear()
+        assert len(sl2_decompose(Mat2(1, n, 0, 1)).head) == 2 * n
+        counts[n] = (len(folded), sum(folded))
+    assert len(set(counts.values())) == 1
+    assert counts[10**3][1] <= 16, counts

@@ -357,23 +357,24 @@ def count_calls(monkeypatch, *names: str) -> dict[str, int]:
 @pytest.mark.parametrize("m", MATRICES)
 def test_each_decomposition_is_reduced_once(monkeypatch, m):
     build_dihedral_model()  # built before counting: construction is not decomposition
-    names = ("amalgam.reduce_word", "iso.phi", "iso.nu", "amalgam.word_mul", "iso.tau")
-    once = {name: int(name == "amalgam.reduce_word") for name in names}
+    names = ("amalgam.reduce_runs", "amalgam.reduce_word", "iso.phi", "iso.nu",
+             "amalgam.word_mul", "iso.tau")
+    once = {name: int(name == "amalgam.reduce_runs") for name in names}
     counts = count_calls(monkeypatch, *names)
     gl2_decompose(m)
     assert counts == once
     if mat_det(m) == 1:
-        counts["amalgam.reduce_word"] = 0
+        counts["amalgam.reduce_runs"] = 0
         sl2_decompose(m)
         assert counts == once
 
 
 def test_a_wrong_decomposition_fails_its_evaluation_check(monkeypatch):
     wrong = NormalForm(((SIDE_A, 1),), 0)
-    monkeypatch.setattr(matgroup, "reduce_word", lambda spec, word: wrong)
+    monkeypatch.setattr(matgroup, "reduce_runs", lambda spec, runs: wrong)
     with pytest.raises(RuntimeError, match="failed its evaluation check"):
         gl2_decompose(U)
-    monkeypatch.setattr(matgroup, "reduce_word", lambda spec, word: wrong)
+    monkeypatch.setattr(matgroup, "reduce_runs", lambda spec, runs: wrong)
     with pytest.raises(RuntimeError, match="failed its evaluation check"):
         sl2_decompose(U)
 
@@ -446,15 +447,32 @@ def test_gl2_decompose_equals_phi_of_the_sl2_form(model, m):
     assert gl2_decompose(m).form == phi(model.big, sl2_decompose(m1), eps)
 
 
+def test_unipotents_reduce_as_their_expanded_euclid_words(model):
+    # The Euclid word as letter powers with each run written out: the flat
+    # word whose reduction the run fold must reproduce.
+    def expanded_letters(m):
+        runs = matgroup._euclid_runs(m, lambda name, k: (name, k))
+        return [letter for block, k in runs for letter in list(block) * k]
+
+    for n in range(-300, 301):
+        for m in (Mat2(1, n, 0, 1), Mat2(1, 0, n, 1)):
+            letters = expanded_letters(m)
+            small = [matgroup.LETTERS[name].syllable(k) for name, k in letters]
+            assert sl2_decompose(m) == reduce_word(model.big.small, small)
+            assert gl2_decompose(m) == word_to_form(Glt2Word(tuple(letters)))
+            with_j = Glt2Word(tuple(letters) + (("j", 1),))
+            assert gl2_decompose(mat_mul(m, J)) == word_to_form(with_j)
+
+
 @pytest.mark.parametrize("what", ["syllable", "tail"])
 @pytest.mark.parametrize("m", LONG_MATRICES, ids=["cfrac", "unipotent"])
 def test_the_check_catches_a_wrong_form_deep_in_a_long_decomposition(model, monkeypatch, m, what):
     if mat_det(m) == -1:
         assert min(map(abs, m)) >= 10**99  # every entry has 100 digits or more
-    # Each decomposition's form comes from its one reduce_word call.
+    # Each decomposition's form comes from its one reduce_runs call.
     for decompose, spec, name in (
-        (gl2_decompose, model.big.spec, "reduce_word"),
-        (sl2_decompose, model.big.small, "reduce_word"),
+        (gl2_decompose, model.big.spec, "reduce_runs"),
+        (sl2_decompose, model.big.small, "reduce_runs"),
     ):
         true = getattr(matgroup, name)
         wrong_forms = []
