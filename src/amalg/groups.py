@@ -342,14 +342,15 @@ def trivial_action(actor: FiniteGroup, space: FiniteGroup) -> GroupAction:
 
 
 def inversion_action(actor: FiniteGroup, space: FiniteGroup) -> GroupAction:
-    """The order-2 actor acts on an abelian space by x -> x^-1."""
+    """The order-2 actor acts on an abelian space, its other element by x -> x^-1."""
     if actor.order != 2:
         raise ValueError(
             f"inversion action needs an order-2 actor, got order {actor.order}"
         )
     if not is_abelian(space):
         raise ValueError(f"inversion action needs an abelian space, {space.label} is not")
-    table = (tuple(space.elements()), space.inv)
+    ident = tuple(space.elements())
+    table = tuple(ident if c == actor.identity else space.inv for c in actor.elements())
     return make_action(actor, space, table)
 
 

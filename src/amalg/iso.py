@@ -5,8 +5,10 @@ embeddings intertwine them), C acts on A *_D B syllable-wise, so the
 semidirect product (A *_D B) x| C makes sense.  On the other side, the lifted
 embeddings (d, c) -> (iota(d), c) exhibit a second amalgam
 (A x| C) *_(D x| C) (B x| C).  This module builds both (make_big_amalgam
-checks compatibility once, and BigAmalgam.act is the induced action) and the
-mutually inverse maps between them:
+checks compatibility once) and the mutually inverse maps between them.  The
+law (w1, c1)(w2, c2) = (w1 c1(w2), c1 c2) is written once, in the fold
+``_times``, for the induced action BigAmalgam.act, SmallSemidirect, phi_inv
+and the Cayley edges of verify_split.
 
   nu   embeds the plain amalgam into the big one (syllables pick up a
        trivial C-component),
@@ -125,11 +127,10 @@ class BigAmalgam(NamedTuple):
         return self.acts.actor
 
     def act(self, c: int, form: NormalForm) -> NormalForm:
-        """The induced action of C on the small amalgam: syllable-wise, re-reduced.
-        An actor element out of range gets ``tau``'s error."""
+        """The induced action: c(form) is the form part of (e, c) times
+        (form, e_C).  An actor element out of range gets ``tau``'s error."""
         tau(self, c)
-        row = {SIDE_A: self.acts.act_a.table[c], SIDE_B: self.acts.act_b.table[c]}
-        return reduce_word(self.small, [(s, row[s][x]) for s, x in to_word(self.small, form)])
+        return _times(self, [((), c), (to_word(self.small, form), self.actor.identity)])[0]
 
 
 def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmalgam:
@@ -172,11 +173,8 @@ class SmallSemidirect:
         self, x: tuple[NormalForm, int], y: tuple[NormalForm, int]
     ) -> tuple[NormalForm, int]:
         (w1, c1), (w2, c2) = x, y
-        tau(self.big, c2)  # reports c2 out of range; act reports c1
-        return (
-            word_mul(self.spec, w1, self.big.act(c1, w2)),
-            self.actor.mul[c1][c2],
-        )
+        tau(self.big, c2), tau(self.big, c1)  # report actor elements out of range
+        return _times(self.big, [(to_word(self.spec, w1), c1), (to_word(self.spec, w2), c2)])
 
     def inv(self, x: tuple[NormalForm, int]) -> tuple[NormalForm, int]:
         w, c = x
@@ -216,25 +214,29 @@ def phi(big: BigAmalgam, form: NormalForm, c: int) -> NormalForm:
     return word_mul(big.spec, nu(big, form), tau(big, c))
 
 
-def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
-    """Psi, the inverse of phi: each syllable (n, c) is read as the pair
-    ((n), c) of (A *_D B) x| C, and the pairs are multiplied out left to
-    right, so the C-part gathered so far acts on each later plain syllable.
-    It reads only the actions, never ``tau``, and reduces once."""
-    check_form(big.spec, g)
-    c_group = big.actor
-    q = c_group.order
-    act = {SIDE_A: big.acts.act_a.table, SIDE_B: big.acts.act_b.table}
-    acc = c_group.identity
+def _times(big: BigAmalgam, pairs: list[tuple[tuple, int]]) -> tuple[NormalForm, int]:
+    """The product of pairs (raw word, c) of (A *_D B) x| C, left to right: the
+    C-part gathered so far acts on each later syllable through the side
+    actions, and the plain syllables are reduced once.  Callers check the
+    actor elements they pass in."""
+    act_a, act_b, _ = big.acts
+    act = {SIDE_A: act_a.table, SIDE_B: act_b.table}
+    c_mul, acc = act_a.actor.mul, act_a.actor.identity
     word: list[Syllable] = []
-    for s, x in g.head:
-        n, cx = divmod(x, q)
-        word.append((s, act[s][acc][n]))
-        acc = c_group.mul[acc][cx]
-    d, c0 = divmod(g.tail, q)
-    form = reduce_word(big.small, word)
-    tail = big.small.d.mul[form.tail][big.acts.act_d.table[acc][d]]
-    return NormalForm(form.head, tail), c_group.mul[acc][c0]
+    for syllables, c in pairs:
+        for s, n in syllables:
+            word.append((s, act[s][acc][n]))
+        acc = c_mul[acc][c]
+    return reduce_word(big.small, word), acc
+
+
+def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
+    """Psi, the inverse of phi: ``_times`` of the pairs ((n), c), one for each
+    syllable (n, c) of ``to_word(g)``.  The tail (d, c) is its syllable
+    (iota_a(d), c), which compatibility acts on as on d.  It reads only the
+    actions, never ``tau``, and reduces once."""
+    q = big.actor.order
+    return _times(big, [(((s, x // q),), x % q) for s, x in to_word(big.spec, g)])
 
 
 def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:
@@ -304,27 +306,24 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
     def pair() -> tuple[NormalForm, int]:
         return small(), rng.randrange(c_group.order)
 
-    # The hom law on all pairs of shorts.  Tables live for this call only: phi
-    # of each short and of each new product, and each c on each short form.
+    # The hom law on all pairs of shorts.  One table lives for this call only:
+    # phi of each short and of each new product.
     def phi_hom_shorts() -> Iterator[str]:
-        forms = enumerate_forms(big.small, 1)
-        shorts = [(w, c) for w in forms for c in cs]
+        shorts = [(w, c) for w in enumerate_forms(big.small, 1) for c in cs]
         phis = {x: phi(big, *x) for x in shorts}
-        acted = {(c, w): big.act(c, w) for c in cs for w in forms}
         e = sd.identity()
         for x in shorts:
             if word_mul(spec, phis[e], phis[x]) != phis[x]:
                 yield f"x = {e}, y = {x}"
         for start, side, flat in ((SIDE_A, SIDE_B, big.sd_b.flat), (SIDE_B, SIDE_A, big.sd_a.flat)):
-            gens = [(reduce_word(big.small, [(side, n)]), c) for n, c in (
+            raws = [(((side, n),), c) for n, c in (
                 divmod(g, c_group.order) for g in flat.generators or (flat.identity,))]
+            gens = [((reduce_word(big.small, word), c), (word, c)) for word, c in raws]
             closure = [x for x in shorts if all(s == start for s, _ in x[0].head)]
             seen = set(closure)
             for z in closure:  # grows by each new product
-                w, c = z
-                for s in gens:
-                    # SmallSemidirect.mul's formula, with the action read from the table.
-                    zs = word_mul(big.small, w, acted[c, s[0]]), c_group.mul[c][s[1]]
+                for s, s_raw in gens:
+                    zs = _times(big, [(to_word(big.small, z[0]), z[1]), s_raw])
                     if zs not in phis:
                         phis[zs] = phi(big, *zs)
                     if phis[zs] != word_mul(spec, phis[z], phis[s]):

@@ -288,6 +288,24 @@ def test_iso_check_passes_and_reports(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_iso_check_inverts_under_an_actor_file_whose_identity_is_not_element_zero(
+    tmp_path, capsys
+):
+    path = tmp_path / "z2r.grp"
+    path.write_text("group Z2r order 2\nidentity 1\nrow 0: 1 0\nrow 1: 0 1\ngenerators: 0\n")
+    args = [
+        "iso-check", "--A", "Z4", "--B", "Z6", "--D", "Z2", "--C", str(path),
+        "--iotaA", "1:2", "--iotaB", "1:3",
+        "--actA", "inv", "--actB", "inv", "--actD", "inv",
+    ]
+    assert run(args) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.strip().splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("PASS") for line in lines)
+
+
 def test_iso_check_json_lines_is_deterministic(capsys):
     args = [
         "iso-check", "--A", "Z4", "--B", "Z6", "--D", "Z2", "--C", "Z2",

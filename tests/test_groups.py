@@ -321,6 +321,17 @@ def test_inversion_action_on_abelian_space():
     assert act(0, 4) == 4
 
 
+def test_inversion_action_keys_its_rows_by_the_actor_identity():
+    # Z2 with its identity at element 1: row 1 is trivial and row 0 inverts.
+    z2r = FiniteGroup("Z2r", ((1, 0), (0, 1)), 1, (0, 1), (0,))
+    assert check_group_axioms(z2r).ok
+    z6 = make_cyclic(6)
+    act = inversion_action(z2r, z6)
+    assert act.table == ((0, 5, 4, 3, 2, 1), (0, 1, 2, 3, 4, 5))
+    assert act(1, 1) == 1
+    assert act(0, 1) == 5
+
+
 def test_inversion_action_requires_order_two_actor():
     with pytest.raises(ValueError, match="order-2 actor"):
         inversion_action(make_cyclic(3), make_cyclic(4))

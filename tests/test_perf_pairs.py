@@ -185,6 +185,35 @@ def test_a_failing_run_exits_1_with_one_line(tmp_path):
         "perf_pairs: run in change with seed 7 exited 3: ValueError: no such workload")
 
 
+@pytest.mark.parametrize("cache", [
+    "parent/src/amalg/__pycache__", "change/perfbench/__pycache__", "change/src/__pycache__",
+])
+def test_a_bytecode_cache_in_either_checkout_stops_the_tool_before_any_run(tmp_path, cache):
+    (tmp_path / cache).mkdir(parents=True)
+    (tmp_path / cache / "iso.cpython-311.pyc").write_bytes(b"")
+    result = "print('{\"metrics\": {}}')\n"
+    proc = _run_pairs(tmp_path, {"parent": result, "change": result})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"perf_pairs: bytecode cache {cache} would let its checkout's set-up skip"
+        " compiling; remove it and run again"]
+    assert (tmp_path / cache / "iso.cpython-311.pyc").is_file()  # nothing deleted
+
+
+def test_the_runs_leave_no_bytecode_cache(tmp_path, monkeypatch):
+    # Each run imports a module of its own checkout, which would otherwise
+    # write perfbench/__pycache__ there.
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    for name in ("parent", "change"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "helper.py").write_text("RESULT = '{\"metrics\": {}}'\n")
+    run = "import sys\nsys.path.insert(0, 'perfbench')\nimport helper\nprint(helper.RESULT)\n"
+    proc = _run_pairs(tmp_path, {"parent": run, "change": run})
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("**/__pycache__")) == []
+
+
 @pytest.mark.parametrize("script, line", [
     ("", "(no stdout)"),
     ("print('{\"metrics\": {}}')\nprint('done')\n", "done"),

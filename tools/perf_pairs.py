@@ -20,16 +20,22 @@ less.  A checkout without that script gets a line saying so instead.  Just
 before the set-up CPU line, one line gives each checkout's ``src/amalg/*.py``
 line total, as ``wc -l`` counts it, and the change's delta.  One last line
 names each metric outside its bound, or says that all are within bound.
-A run or set-up child that exits non-zero stops the tool with exit status 1
-and one line naming its checkout, exit code and last line of stderr (and a
-run's seed); so does a run whose last stdout line is not a JSON result, with
-that line.  Standard library only.
+
+A bytecode cache lets a checkout's cold set-up skip compiling, so before any
+run a ``__pycache__`` under either checkout's ``src/`` or ``perfbench/``
+stops the tool with exit status 1 and one line naming it; the tool deletes
+nothing, and its children run with ``PYTHONDONTWRITEBYTECODE=1`` so that
+they leave no cache behind.  A run or set-up child that exits non-zero
+stops the tool with exit status 1 and one line naming its checkout, exit
+code and last line of stderr (and a run's seed); so does a run whose last
+stdout line is not a JSON result, with that line.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -43,7 +49,8 @@ SETUP_CHILDREN = 20
 def _child(checkout: Path, args: list[str], what: str) -> subprocess.CompletedProcess:
     """Run ``python3 ARGS`` in ``checkout``; if it exits non-zero, exit this
     tool with status 1 and one line naming ``what``."""
-    proc = subprocess.run([sys.executable, *args], cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], cwd=checkout, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode:
         last = (proc.stderr.strip().splitlines() or ["(no stderr)"])[-1]
         sys.exit(f"perf_pairs: {what} exited {proc.returncode}: {last}")
@@ -63,6 +70,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
     except (ValueError, TypeError, KeyError, AttributeError):
         sys.exit(f"perf_pairs: run in {checkout} with seed {seed} exited 0"
                  f" without a JSON result: {last}")
+
+
+def refuse_bytecode_caches(parent: Path, change: Path) -> None:
+    """Exit with status 1 and one line naming the first ``__pycache__`` under
+    either checkout's ``src/`` or ``perfbench/``; delete nothing."""
+    caches = [cache for checkout in (parent, change) for top in ("src", "perfbench")
+              for cache in sorted(checkout.glob(f"{top}/**/__pycache__"))]
+    if caches:
+        sys.exit(f"perf_pairs: bytecode cache {caches[0]} would let its checkout's"
+                 " set-up skip compiling; remove it and run again")
 
 
 def setup_cpu(parent: Path, change: Path, workload: str) -> str:
@@ -164,6 +181,7 @@ def main() -> None:
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to give quartiles")
+    refuse_bytecode_caches(args.parent, args.change)
     specs = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict[Path, list[dict]] = {args.parent: [], args.change: []}
     for i in range(args.pairs):
