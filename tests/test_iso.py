@@ -262,7 +262,7 @@ class Law:
     def inv(self, x):
         w, c = x
         groups = {SIDE_A: self.small.a, SIDE_B: self.small.b}
-        w_inv = reduce_word(self.small, [(s, groups[s].inv[x]) for s, x in reversed(self.word(w))])
+        w_inv = reduce_word(self.small, [(s, groups[s].inv[t]) for s, t in reversed(self.word(w))])
         c_inv = self.c_group.inv[c]
         return self.act(c_inv, w_inv), c_inv
 
