@@ -286,11 +286,10 @@ def word_eq(
     u: tuple[Syllable, ...] | NormalForm,
     v: tuple[Syllable, ...] | NormalForm,
 ) -> bool:
-    """Whether two words (raw, or normal forms checked first) name the same element."""
-    nu = u if isinstance(u, NormalForm) else reduce_word(spec, u)
-    nv = v if isinstance(v, NormalForm) else reduce_word(spec, v)
-    check_form(spec, nu)
-    check_form(spec, nv)
+    """Whether two words name the same element: each is reduced, a form
+    through its word, which ``to_word`` checks, so a form need not be canonical."""
+    nu, nv = (reduce_word(spec, to_word(spec, w) if isinstance(w, NormalForm) else w)
+              for w in (u, v))
     return nu == nv
 
 

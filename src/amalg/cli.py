@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, Collection
@@ -58,6 +59,9 @@ __all__ = [
 
 BUILTIN_GROUPS = ("Z1", "Z2", "Z3", "Z4", "Z6", "D2", "D4", "D6")
 
+# The one integer grammar of every input: an optional '-', then ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
 
 class ParseError(ValueError):
     """A syntax error at a byte offset of the input expression."""
@@ -94,21 +98,18 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos].isdigit():
-            raise ParseError(self.pos, f"non-ASCII digit {self.text[self.pos]!r}")
-        if self.pos == digits:
+        m = _INTEGER.match(self.text, start)
+        end = m.end() if m else start + self.text.startswith("-", start)
+        if end < len(self.text) and self.text[end].isdigit():
+            raise ParseError(end, f"non-ASCII digit {self.text[end]!r}")
+        if m is None:
             raise ParseError(start, "expected an integer")
+        self.pos = end
         try:
-            return int(self.text[start : self.pos])
+            return int(m[0])
         except ValueError:  # longer than the interpreter's int() digit limit
-            raise ParseError(
-                start, f"integer of {self.pos - digits} digits is too long to convert"
-            ) from None
+            digits = len(m[0].lstrip("-"))
+            raise ParseError(start, f"integer of {digits} digits is too long to convert") from None
 
     def end(self) -> None:
         if not self.eof():
@@ -116,7 +117,13 @@ class _Scanner:
 
 
 def integer(text: str) -> int:
-    """``text`` as one integer of the word grammar: '-'? then ASCII digits."""
+    """``text`` as one integer of the word grammar, ``_INTEGER``.  Blanks that
+    the scanner skips may surround it, and the scanner names any error."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # longer than the interpreter's int() digit limit
+            pass
     s = _Scanner(text)
     value = s.integer()
     s.end()
@@ -214,110 +221,94 @@ def _spec_lines(text: str, kind: str) -> list[tuple[int, str]]:
     return lines
 
 
+def _spec_error(kind: str, lineno: int, message: str) -> ValueError:
+    return ValueError(f"{kind} spec line {lineno}: {message}")
+
+
+def _spec_ints(kind: str, lineno: int, fields: list[str], message: str) -> tuple[int, ...]:
+    """The ``fields`` of line ``lineno`` of a ``kind`` spec, each read by
+    ``integer``; if one is not an integer, ``message`` is the line's error."""
+    try:
+        return tuple(map(integer, fields))
+    except ValueError:
+        raise _spec_error(kind, lineno, message) from None
+
+
 def parse_group_spec(text: str) -> FiniteGroup:
     """Parse the line-oriented group format (header, identity, rows, generators)."""
     lines = _spec_lines(text, "group")
-
-    def fail(lineno: int, msg: str) -> ValueError:
-        return ValueError(f"group spec line {lineno}: {msg}")
-
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 4 or parts[0] != "group" or parts[2] != "order":
-        raise fail(lineno, "expected 'group <label> order <n>'")
+        raise _spec_error("group", lineno, "expected 'group <label> order <n>'")
     label = parts[1]
-    try:
-        n = integer(parts[3])
-    except ValueError:
-        raise fail(lineno, f"bad order {parts[3]!r}") from None
+    [n] = _spec_ints("group", lineno, parts[3:], f"bad order {parts[3]!r}")
     if n <= 0:
-        raise fail(lineno, "order must be positive")
+        raise _spec_error("group", lineno, "order must be positive")
 
     if len(lines) < 2:
         raise ValueError("group spec: missing 'identity' line")
     lineno, ident_line = lines[1]
     parts = ident_line.split()
     if len(parts) != 2 or parts[0] != "identity":
-        raise fail(lineno, "expected 'identity <i>'")
-    try:
-        identity = integer(parts[1])
-    except ValueError:
-        raise fail(lineno, f"bad identity {parts[1]!r}") from None
+        raise _spec_error("group", lineno, "expected 'identity <i>'")
+    [identity] = _spec_ints("group", lineno, parts[1:], f"bad identity {parts[1]!r}")
     if not 0 <= identity < n:
-        raise fail(lineno, f"identity index {identity} out of range")
+        raise _spec_error("group", lineno, f"identity index {identity} out of range")
 
     body = lines[2:]
     if len(body) < n + 1:
-        raise fail(
-            lines[0][0],
-            f"order {n} needs {n} rows and a generators line, found {len(body)} lines",
-        )
+        raise _spec_error("group", lines[0][0], f"order {n} needs {n} rows and a generators"
+                          f" line, found {len(body)} lines")
     rows: list[tuple[int, ...] | None] = [None] * n
     for lineno, line in body[:n]:
         if not line.startswith("row"):
-            raise fail(lineno, "expected 'row <i>: ...'")
+            raise _spec_error("group", lineno, "expected 'row <i>: ...'")
         head, _, rest = line.partition(":")
-        try:
-            i = integer(head.split()[1])
-        except (IndexError, ValueError):
-            raise fail(lineno, "expected 'row <i>: ...'") from None
+        # The index is the head's second word; a one-word head, "row...", is none.
+        [i] = _spec_ints("group", lineno, head.split()[1:2] or [head], "expected 'row <i>: ...'")
         if not 0 <= i < n or rows[i] is not None:
-            raise fail(lineno, f"bad or repeated row index {i}")
-        try:
-            entries = tuple(integer(v) for v in rest.split())
-        except ValueError:
-            raise fail(lineno, "row entries must be integers") from None
+            raise _spec_error("group", lineno, f"bad or repeated row index {i}")
+        entries = _spec_ints("group", lineno, rest.split(), "row entries must be integers")
         if len(entries) != n or any(not 0 <= v < n for v in entries):
-            raise fail(lineno, f"row {i} must have {n} entries in range")
+            raise _spec_error("group", lineno, f"row {i} must have {n} entries in range")
         rows[i] = entries
     lineno, gen_line = body[n]
     if not gen_line.startswith("generators:"):
-        raise fail(lineno, "expected 'generators: ...'")
-    try:
-        gen_idx = [integer(v) for v in gen_line.split(":", 1)[1].split()]
-    except ValueError:
-        raise fail(lineno, "generator indices must be integers") from None
+        raise _spec_error("group", lineno, "expected 'generators: ...'")
+    gen_idx = _spec_ints("group", lineno, gen_line.split(":", 1)[1].split(),
+                         "generator indices must be integers")
     if any(not 0 <= g < n for g in gen_idx):
-        raise fail(lineno, "generator index out of range")
+        raise _spec_error("group", lineno, "generator index out of range")
     if len(body) > n + 1:
-        raise fail(body[n + 1][0], "unexpected line after the generators line")
+        raise _spec_error("group", body[n + 1][0], "unexpected line after the generators line")
 
     mul = tuple(r for r in rows if r is not None)
     # In a finite monoid a right inverse is the two-sided one; a row without
     # the identity gets x itself, so axiom checking can report the failure.
     inv = [row.index(identity) if identity in row else x for x, row in enumerate(mul)]
-    return FiniteGroup(label, mul, identity, tuple(inv), tuple(gen_idx))
+    return FiniteGroup(label, mul, identity, tuple(inv), gen_idx)
 
 
 def parse_action_spec(text: str, actor: FiniteGroup, space: FiniteGroup) -> GroupAction:
     """Parse the line-oriented action format and verify the action laws."""
     lines = _spec_lines(text, "action")
-
-    def fail(lineno: int, msg: str) -> ValueError:
-        return ValueError(f"action spec line {lineno}: {msg}")
-
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 4 or parts[0] != "action" or parts[2] != "on":
-        raise fail(lineno, "expected 'action <actor> on <space>'")
+        raise _spec_error("action", lineno, "expected 'action <actor> on <space>'")
     rows: list[tuple[int, ...] | None] = [None] * actor.order
     for lineno, line in lines[1:]:
         head, _, rest = line.partition(":")
         parts = head.split()
         if len(parts) != 2 or parts[0] != "c":
-            raise fail(lineno, "expected 'c <i>: ...'")
-        try:
-            c = integer(parts[1])
-        except ValueError:
-            raise fail(lineno, f"bad actor index {parts[1]!r}") from None
+            raise _spec_error("action", lineno, "expected 'c <i>: ...'")
+        [c] = _spec_ints("action", lineno, parts[1:], f"bad actor index {parts[1]!r}")
         if not 0 <= c < actor.order or rows[c] is not None:
-            raise fail(lineno, f"bad or repeated actor index {c}")
-        try:
-            perm = tuple(integer(v) for v in rest.split())
-        except ValueError:
-            raise fail(lineno, "permutation entries must be integers") from None
+            raise _spec_error("action", lineno, f"bad or repeated actor index {c}")
+        perm = _spec_ints("action", lineno, rest.split(), "permutation entries must be integers")
         if len(perm) != space.order:
-            raise fail(lineno, f"expected {space.order} entries")
+            raise _spec_error("action", lineno, f"expected {space.order} entries")
         rows[c] = perm
     if any(r is None for r in rows):
         raise ValueError("action spec: missing actor rows")

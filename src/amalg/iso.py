@@ -37,6 +37,7 @@ from .amalgam import (
     AmalgamSpec,
     NormalForm,
     Syllable,
+    _append,
     check_form,
     enumerate_forms,
     identity_form,
@@ -130,7 +131,8 @@ class BigAmalgam(NamedTuple):
         """The induced action: c(form) is the form part of (e, c) times
         (form, e_C).  An actor element out of range gets ``tau``'s error."""
         tau(self, c)
-        return _times(self, [((), c), (to_word(self.small, form), self.actor.identity)])[0]
+        word = to_word(self.small, form)
+        return _times(self, (identity_form(self.small), c), [(word, self.actor.identity)])[0]
 
 
 def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmalgam:
@@ -174,7 +176,8 @@ class SmallSemidirect:
     ) -> tuple[NormalForm, int]:
         (w1, c1), (w2, c2) = x, y
         tau(self.big, c2), tau(self.big, c1)  # report actor elements out of range
-        return _times(self.big, [(to_word(self.spec, w1), c1), (to_word(self.spec, w2), c2)])
+        check_form(self.spec, w1)
+        return _times(self.big, x, [(to_word(self.spec, w2), c2)])
 
     def inv(self, x: tuple[NormalForm, int]) -> tuple[NormalForm, int]:
         w, c = x
@@ -214,29 +217,32 @@ def phi(big: BigAmalgam, form: NormalForm, c: int) -> NormalForm:
     return word_mul(big.spec, nu(big, form), tau(big, c))
 
 
-def _times(big: BigAmalgam, pairs: list[tuple[tuple, int]]) -> tuple[NormalForm, int]:
-    """The product of pairs (raw word, c) of (A *_D B) x| C, left to right: the
-    C-part gathered so far acts on each later syllable through the side
-    actions, and the plain syllables are reduced once.  Callers check the
-    actor elements they pass in."""
+def _times(big: BigAmalgam, x: tuple[NormalForm, int], pairs: list) -> tuple[NormalForm, int]:
+    """The product in (A *_D B) x| C of x = (form, c) and the pairs (raw word,
+    c), left to right: the C-part gathered so far acts on each later syllable
+    through the side actions, and the acted syllables fold onto a copy of x's
+    stack, as in ``word_mul``.  Callers check x and the actor elements."""
     act_a, act_b, _ = big.acts
     act = {SIDE_A: act_a.table, SIDE_B: act_b.table}
-    c_mul, acc = act_a.actor.mul, act_a.actor.identity
+    c_mul = act_a.actor.mul
+    form, acc = x
     word: list[Syllable] = []
     for syllables, c in pairs:
         for s, n in syllables:
             word.append((s, act[s][acc][n]))
         acc = c_mul[acc][c]
-    return reduce_word(big.small, word), acc
+    stack = list(form.head)
+    d = _append(big.small, stack, form.tail, word)
+    return NormalForm(tuple(stack), d), acc
 
 
 def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
-    """Psi, the inverse of phi: ``_times`` of the pairs ((n), c), one for each
-    syllable (n, c) of ``to_word(g)``.  The tail (d, c) is its syllable
-    (iota_a(d), c), which compatibility acts on as on d.  It reads only the
-    actions, never ``tau``, and reduces once."""
-    q = big.actor.order
-    return _times(big, [(((s, x // q),), x % q) for s, x in to_word(big.spec, g)])
+    """Psi, the inverse of phi: ``_times`` of the identity and the pairs
+    ((n), c), one for each syllable (n, c) of ``to_word(g)``.  The tail
+    (d, c) is its syllable (iota_a(d), c), which compatibility acts on as on
+    d.  It reads only the actions, never ``tau``, and folds once."""
+    q, e = big.actor.order, (identity_form(big.small), big.actor.identity)
+    return _times(big, e, [(((s, x // q),), x % q) for s, x in to_word(big.spec, g)])
 
 
 def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:
@@ -316,14 +322,13 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
             if word_mul(spec, phis[e], phis[x]) != phis[x]:
                 yield f"x = {e}, y = {x}"
         for start, side, flat in ((SIDE_A, SIDE_B, big.sd_b.flat), (SIDE_B, SIDE_A, big.sd_a.flat)):
-            raws = [(((side, n),), c) for n, c in (
+            gens = [(reduce_word(big.small, [(side, n)]), c) for n, c in (
                 divmod(g, c_group.order) for g in flat.generators or (flat.identity,))]
-            gens = [((reduce_word(big.small, word), c), (word, c)) for word, c in raws]
             closure = [x for x in shorts if all(s == start for s, _ in x[0].head)]
             seen = set(closure)
             for z in closure:  # grows by each new product
-                for s, s_raw in gens:
-                    zs = _times(big, [(to_word(big.small, z[0]), z[1]), s_raw])
+                for s in gens:
+                    zs = sd.mul(z, s)
                     if zs not in phis:
                         phis[zs] = phi(big, *zs)
                     if phis[zs] != word_mul(spec, phis[z], phis[s]):

@@ -33,7 +33,7 @@ from .amalgam import (
     to_word,
 )
 from .groups import hom_from_generators, inversion_action, make_cyclic
-from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam, nu
+from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam
 
 __all__ = [
     "Mat2",
@@ -388,6 +388,7 @@ def form_to_letters(form: DihedralAmalgamForm) -> Glt2Word:
 
 
 def small_form_to_letters(form: NormalForm) -> Glt2Word:
-    """Render a plain Z4/Z6/Z2 form as a letter word in s and u: its image
-    under nu is a dihedral form with no j."""
-    return form_to_letters(DihedralAmalgamForm(nu(build_dihedral_model().big, form)))
+    """Render a plain Z4/Z6/Z2 form as a letter word in s and u: side a's x in
+    its word as s^x and side b's as u^x, adjacent equal letters folded."""
+    spec = build_dihedral_model().big.small
+    return Glt2Word(fold_letters((_SIDE_LETTER[side], x) for side, x in to_word(spec, form)))

@@ -302,6 +302,10 @@ def test_word_eq_accepts_raw_and_reduced_arguments(small_spec):
     assert word_eq(small_spec, raw, reduce_word(small_spec, [(SIDE_A, 1)]))
     assert word_eq(small_spec, raw, [(SIDE_A, 1)])
     assert not word_eq(small_spec, raw, [(SIDE_A, 2)])
+    # A form that is not canonical names the element of its word.
+    assert word_eq(small_spec, NormalForm(((SIDE_A, 3),), 0), [(SIDE_A, 3)])
+    assert word_eq(small_spec, NormalForm(((SIDE_A, 3),), 0), NormalForm(((SIDE_A, 1),), 1))
+    assert not word_eq(small_spec, NormalForm(((SIDE_A, 3),), 0), [(SIDE_A, 1)])
 
 
 def test_syllable_count(small_spec):

@@ -492,6 +492,22 @@ def test_group_spec_line_after_the_generators_exits_2(monkeypatch, capsys):
     )
 
 
+def test_a_bad_entry_in_the_last_row_of_an_order_128_group_names_its_line(monkeypatch, capsys):
+    g = make_dihedral(64)
+    rows = [f"row {i}: " + " ".join(map(str, row)) for i, row in enumerate(g.mul)]
+    rows[-1] = rows[-1][: rows[-1].rindex(" ")] + " x"
+    text = "\n".join([f"group D64 order {g.order}", f"identity {g.identity}", *rows,
+                      "generators: " + " ".join(map(str, g.generators))]) + "\n"
+    assert len(rows) == 128
+    with pytest.raises(ValueError) as err:
+        parse_group_spec(text)
+    assert str(err.value) == "group spec line 130: row entries must be integers"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(["axioms", "-"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: group spec line 130: row entries must be integers\n")
+
+
 # Integers in spec files and generator maps follow the word grammar: an
 # optional '-', then ASCII digits.  int() alone would accept each of these.
 @pytest.mark.parametrize("text, message", [
@@ -566,6 +582,22 @@ def test_integer_reads_as_the_scanner_reads(int_digit_limit, text, expected):
                 read(text)
         else:
             assert read(text) == expected
+
+
+def read_or_error(read, text):
+    """``read(text)``, or the repr of the ValueError it raises."""
+    try:
+        return read(text)
+    except ValueError as e:
+        return repr(e)
+
+
+# Text over ASCII digits, the signs and digits that int() reads beyond the
+# grammar, and blanks that str.isspace holds for.
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789-+_²٣ \t\x0b\x1c\x1f\xa0\u2003", max_size=8))
+def test_integer_and_the_scanner_agree_on_generated_text(text):
+    assert read_or_error(integer, text) == read_or_error(scanned, text)
 
 
 def test_iso_check_seed_may_have_blanks_the_scanner_skips(capsys):

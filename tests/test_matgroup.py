@@ -18,6 +18,7 @@ from amalg import (
     Mat2,
     NormalForm,
     build_dihedral_model,
+    enumerate_forms,
     evaluate_word,
     form_to_letters,
     gl2_decompose,
@@ -26,6 +27,7 @@ from amalg import (
     mat_inv,
     mat_mul,
     mat_pow,
+    nu,
     phi,
     random_form,
     reduce_word,
@@ -283,6 +285,26 @@ def test_small_form_to_letters_round_trips_through_evaluation():
         letters = small_form_to_letters(sl2_decompose(m))
         assert evaluate_word(letters) == m
         count += 1
+
+
+def test_small_form_to_letters_renders_a_canonical_form_as_its_dihedral_image(model):
+    # nu gives each syllable a trivial C-part, which renders as no j.
+    forms = enumerate_forms(model.big.small, 8)
+    assert len(forms) == 212
+    for form in forms:
+        expected = form_to_letters(DihedralAmalgamForm(nu(model.big, form)))
+        assert small_form_to_letters(form) == expected, form
+
+
+def test_small_form_to_letters_renders_a_form_as_its_own_syllables():
+    # b:3 is -I, the tail 1, whose canonical form renders as s^2; the form
+    # itself renders as u^3, as the same element b:6 does in the dihedral form.
+    assert small_form_to_letters(NormalForm(((SIDE_B, 3),), 0)) == Glt2Word((("u", 3),))
+    assert form_to_letters(DihedralAmalgamForm(NormalForm(((SIDE_B, 6),), 0))) == Glt2Word(
+        (("u", 3),))
+    # s * s then the tail s^2, folded as written: s^4, not the identity's empty word.
+    form = NormalForm(((SIDE_A, 1), (SIDE_A, 1)), 1)
+    assert small_form_to_letters(form) == Glt2Word((("s", 4),))
 
 
 def test_sl2_decompose_agrees_with_bfs_oracle(model, bfs6):

@@ -201,6 +201,21 @@ def test_a_bytecode_cache_in_either_checkout_stops_the_tool_before_any_run(tmp_p
     assert (tmp_path / cache / "iso.cpython-311.pyc").is_file()  # nothing deleted
 
 
+def test_every_bytecode_cache_is_named_in_the_one_line(tmp_path):
+    # A plain perfbench run leaves both of these in its checkout.
+    caches = ["parent/src/amalg/__pycache__", "parent/perfbench/__pycache__"]
+    for cache in caches:
+        (tmp_path / cache).mkdir(parents=True)
+    result = "print('{\"metrics\": {}}')\n"
+    proc = _run_pairs(tmp_path, {"parent": result, "change": result})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "perf_pairs: bytecode caches parent/src/amalg/__pycache__, parent/perfbench/__pycache__"
+        " would let their checkouts' set-up skip compiling; remove them and run again"]
+    assert all((tmp_path / cache).is_dir() for cache in caches)  # nothing deleted
+
+
 def test_the_runs_leave_no_bytecode_cache(tmp_path, monkeypatch):
     # Each run imports a module of its own checkout, which would otherwise
     # write perfbench/__pycache__ there.

@@ -23,7 +23,7 @@ names each metric outside its bound, or says that all are within bound.
 
 A bytecode cache lets a checkout's cold set-up skip compiling, so before any
 run a ``__pycache__`` under either checkout's ``src/`` or ``perfbench/``
-stops the tool with exit status 1 and one line naming it; the tool deletes
+stops the tool with exit status 1 and one line naming every one; the tool deletes
 nothing, and its children run with ``PYTHONDONTWRITEBYTECODE=1`` so that
 they leave no cache behind.  A run or set-up child that exits non-zero
 stops the tool with exit status 1 and one line naming its checkout, exit
@@ -73,13 +73,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
 
 
 def refuse_bytecode_caches(parent: Path, change: Path) -> None:
-    """Exit with status 1 and one line naming the first ``__pycache__`` under
+    """Exit with status 1 and one line naming every ``__pycache__`` under
     either checkout's ``src/`` or ``perfbench/``; delete nothing."""
     caches = [cache for checkout in (parent, change) for top in ("src", "perfbench")
               for cache in sorted(checkout.glob(f"{top}/**/__pycache__"))]
-    if caches:
+    if len(caches) == 1:
         sys.exit(f"perf_pairs: bytecode cache {caches[0]} would let its checkout's"
                  " set-up skip compiling; remove it and run again")
+    if caches:
+        sys.exit(f"perf_pairs: bytecode caches {', '.join(map(str, caches))} would let"
+                 " their checkouts' set-up skip compiling; remove them and run again")
 
 
 def setup_cpu(parent: Path, change: Path, workload: str) -> str:
