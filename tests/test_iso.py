@@ -673,6 +673,8 @@ FORM_READERS = {
     "word_inv": (False, lambda big, w, v: word_inv(big.small, w)),
     "syllable_count": (False, lambda big, w, v: syllable_count(big.small, w)),
     "act": (False, lambda big, w, v: big.act(1, w)),
+    "sd-mul-left": (False, lambda big, w, v: SmallSemidirect(big).mul((w, 1), (v, 1))),
+    "sd-mul-right": (False, lambda big, w, v: SmallSemidirect(big).mul((v, 1), (w, 1))),
     "nu": (False, lambda big, w, v: nu(big, w)),
     "phi": (False, lambda big, w, v: phi(big, w, 1)),
     "evaluate_word": (False, lambda big, w, v: evaluate_word(w)),
