@@ -236,8 +236,13 @@ def check_form(spec: AmalgamSpec, form: NormalForm) -> None:
     """The one check of a form read from a caller: ``reduce_word``'s
     ValueError for its first bad syllable, else one for a tail that is not an
     int in range.  True and False hash and compare equal to 1 and 0, so they
-    pass as those, as an element or as a tail."""
-    if not spec.syllables.issuperset(form.head):
+    pass as those, as an element or as a tail.  A head the set test rejects
+    or cannot hash, such as one with a list pair, is read by ``reduce_word``."""
+    try:
+        known = spec.syllables.issuperset(form.head)
+    except TypeError:
+        known = False
+    if not known:
         reduce_word(spec, form.head)  # raises the error for the first bad syllable
     if not (isinstance(form.tail, int) and 0 <= form.tail < len(spec.d.mul)):
         raise ValueError(

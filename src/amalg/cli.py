@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from pathlib import Path
 from typing import Any, Callable, Collection
 
 from .amalgam import SIDE_A, SIDE_B, AmalgamSpec, Syllable, make_amalgam, reduce_word, to_word
@@ -318,11 +317,11 @@ def parse_action_spec(text: str, actor: FiniteGroup, space: FiniteGroup) -> Grou
 def _read_spec_file(name: str, kind: str, builtins: str) -> str:
     """The text of a group or action file; a name that is neither a builtin
     nor a readable file is a usage error."""
-    path = Path(name)
-    if not path.exists():
-        raise ValueError(f"unknown {kind} {name!r}: not {builtins} and not a file")
     try:
-        return path.read_text()
+        with open(name) as f:
+            return f.read()
+    except (FileNotFoundError, NotADirectoryError):
+        raise ValueError(f"unknown {kind} {name!r}: not {builtins} and not a file") from None
     except OSError as e:
         raise ValueError(f"cannot read {kind} file {name!r}: {e.strerror}") from None
 

@@ -206,9 +206,12 @@ def mu(big: BigAmalgam, form: NormalForm) -> int:
 
 def tau(big: BigAmalgam, c: int) -> NormalForm:
     """Section of mu: the class of (e_D, c), a pure subgroup element.
-    ``encode`` reports an actor element out of range."""
-    if 0 <= c < len(big.taus):
-        return big.taus[c]
+    ``encode`` reports an actor element out of range or not an int."""
+    try:
+        if 0 <= c < len(big.taus):
+            return big.taus[c]
+    except TypeError:
+        pass
     return NormalForm((), big.sd_d.encode(big.small.d.identity, c))
 
 

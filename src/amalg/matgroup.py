@@ -12,13 +12,16 @@ to determinant -1 through the order-2 section
     J = [[0, 1], [1, 0]]     (J S J = S^-1, J U J = U^-1)
 
 landing in the dihedral amalgam built from Z4 x| Z2, Z6 x| Z2, Z2 x| Z2 with
-inversion actions, whose realization ``build_dihedral_model`` tabulates once.
-Both reduce their Euclid word once, with each long T^q folded a period at a
-time as a run, and evaluate the flat form exactly.  All arithmetic is plain
-Python int, so entries may grow without overflow.
+inversion actions.  ``build_dihedral_model`` tabulates the realization of
+each amalgam once, as one ``SyllableMatrices`` record built from the letter
+word of each element of each side; one decomposer and one renderer read
+either record.  A decomposition reduces its Euclid word once, with each long
+T^q folded a period at a time as a run, and evaluates the flat form exactly.
+All arithmetic is plain Python int, so entries may grow without overflow.
 
-``LETTERS`` is the one table of the letters s, u, j: their powers, orders and
-amalgam sides.  Every function here that reads or writes letter words uses it.
+``LETTERS`` maps each letter s, u, j to its tuple of powers, whose length is
+the letter's order.  Every function here that reads or writes letter words
+uses it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from itertools import chain
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .amalgam import (
-    SIDE_A, SIDE_B, NormalForm, Syllable, check_form, make_amalgam, reduce_runs, reduce_word,
-    to_word,
+    SIDE_A, SIDE_B, AmalgamSpec, NormalForm, Syllable, check_form, make_amalgam, reduce_runs,
+    reduce_word, to_word,
 )
 from .groups import hom_from_generators, inversion_action, make_cyclic
 from .iso import BigAmalgam, CompatibleActionTriple, make_big_amalgam
@@ -123,36 +126,14 @@ def _table_product(tables: Mapping[str, Any], keys: Iterable[tuple[str, int]]) -
     return Mat2(a, b, c, d)
 
 
-class Letter(NamedTuple):
-    """A letter of GL2(Z) words: ``powers[k]`` is its k-th power, so its order
-    is ``len(powers)``.  Syllable x of ``side`` is its x-th power; j lies in
-    the amalgamated subgroup and has no side."""
-
-    powers: tuple[Mat2, ...]
-    side: str | None
-
-    def __getitem__(self, k: int) -> Mat2:
-        """The k-th power, for any integer k."""
-        return self.powers[k % len(self.powers)]
-
-    def syllable(self, k: int) -> Syllable:
-        """The k-th power as a syllable of the Z4/Z6/Z2 amalgam."""
-        return self.side, k % len(self.powers)
-
-
 _S, _U, _J = standard_generators()
 LETTERS = {
-    name: Letter(tuple(mat_pow(m, n) for n in range(order)), side)
-    for name, m, order, side in (
-        ("s", _S, 4, SIDE_A),
-        ("u", _U, 6, SIDE_B),
-        ("j", _J, 2, None),
-    )
+    name: tuple(mat_pow(m, n) for n in range(order))
+    for name, m, order in (("s", _S, 4), ("u", _U, 6), ("j", _J, 2))
 }
-_SIDE_LETTER = {letter.side: name for name, letter in LETTERS.items() if letter.side}
 
 
-def _letter(name: str) -> Letter:
+def _powers(name: str) -> tuple[Mat2, ...]:
     try:
         return LETTERS[name]
     except KeyError:
@@ -184,12 +165,16 @@ class DihedralAmalgamForm(NamedTuple):
 
 
 class SyllableMatrices(NamedTuple):
-    """The matrix of every syllable of one amalgam's realization: ``a[x]`` and
-    ``b[x]`` for the elements of each side, ``d[x]`` for the subgroup."""
+    """One amalgam's realization in GL2(Z): ``words`` holds the letter word of
+    each element of each side (pairs (side, words)), ``a[x]`` and ``b[x]``
+    their matrices, ``d[x]`` the subgroup's through side a, and ``syllables``
+    the syllable of each one-letter word (pairs ((letter, k), syllable))."""
 
     a: tuple[Mat2, ...]
     b: tuple[Mat2, ...]
     d: tuple[Mat2, ...]
+    words: tuple[tuple[str, tuple[tuple[tuple[str, int], ...], ...]], ...]
+    syllables: tuple[tuple[tuple[str, int], Syllable], ...]
 
     def evaluate(self, form: NormalForm) -> Mat2:
         """Exact matrix value of a normal form: one table lookup and one
@@ -198,20 +183,25 @@ class SyllableMatrices(NamedTuple):
         return mat_mul(head, self.d[form.tail])
 
 
+def _realization(spec: AmalgamSpec, raw: Mapping[str, Iterable]) -> SyllableMatrices:
+    """The realization of ``spec`` in which element x of each side is the
+    letter word ``raw[side][x]``, folded; the subgroup maps through side a."""
+    words = tuple((side, tuple(map(fold_letters, raw[side]))) for side in (SIDE_A, SIDE_B))
+    a, b = (tuple(_table_product(LETTERS, word) for word in ws) for _, ws in words)
+    syllables = {word[0]: (side, x) for side, ws in words
+                 for x, word in enumerate(ws) if len(word) == 1}
+    d = tuple(a[x] for x in spec.iota_a.image)
+    return SyllableMatrices(a, b, d, words, tuple(syllables.items()))
+
+
 class DihedralModel(NamedTuple):
-    """The dihedral amalgam together with its matrix realization, as
-    ``build_dihedral_model`` tabulates it: ``small_mats`` for the small
-    amalgam Z4 *_Z2 Z6, and for the dihedral one the letter word of each
-    syllable of each side (``letters``, pairs (side, words)), their matrices
-    (``big_mats``) and the syllable of each one-letter word (``syllables``,
-    pairs ((letter, k), syllable)).
-    """
+    """The dihedral amalgam together with the realizations that
+    ``build_dihedral_model`` tabulates: ``small_mats`` for the small amalgam
+    Z4 *_Z2 Z6 and ``big_mats`` for the dihedral one."""
 
     big: BigAmalgam
     small_mats: SyllableMatrices
     big_mats: SyllableMatrices
-    letters: tuple[tuple[str, tuple[tuple[tuple[str, int], ...], ...]], ...]
-    syllables: tuple[tuple[tuple[str, int], Syllable], ...]
 
     def side_matrix(self, side: str, x: int) -> Mat2:
         check_form(self.big.spec, NormalForm(((side, x),), self.big.spec.d.identity))
@@ -230,35 +220,20 @@ def build_dihedral_model() -> DihedralModel:
     word s^n j^c on side a and u^n j^c on side b, with only nonzero
     exponents; the subgroup is realized through side a's lifted embedding,
     and side b's would give the same matrices because S^2 = U^3 = -I."""
-    a_pows, b_pows = (LETTERS[_SIDE_LETTER[side]].powers for side in (SIDE_A, SIDE_B))
-    z2, za, zb = make_cyclic(2), make_cyclic(len(a_pows)), make_cyclic(len(b_pows))
+    za, zb = (make_cyclic(len(LETTERS[name])) for name in "su")
+    z2 = make_cyclic(2)  # the actor <J>, and the subgroup <-I>
     # The subgroup is generated by -I, the half-order power on both sides.
-    small = make_amalgam(
-        za,
-        zb,
-        z2,
-        hom_from_generators(z2, za, {1: len(a_pows) // 2}),
-        hom_from_generators(z2, zb, {1: len(b_pows) // 2}),
-    )
-    actor = make_cyclic(len(LETTERS["j"].powers))
-    acts = CompatibleActionTriple(
-        inversion_action(actor, za),
-        inversion_action(actor, zb),
-        inversion_action(actor, z2),
-    )
+    small = make_amalgam(za, zb, z2, hom_from_generators(z2, za, {1: za.order // 2}),
+                         hom_from_generators(z2, zb, {1: zb.order // 2}))
+    acts = CompatibleActionTriple(*(inversion_action(z2, g) for g in (za, zb, z2)))
     big = make_big_amalgam(small, acts)
-    small_mats = SyllableMatrices(a_pows, b_pows, tuple(a_pows[x] for x in small.iota_a.image))
-
-    letters = tuple(
-        (side, tuple(fold_letters(((_SIDE_LETTER[side], n), ("j", c)))
-                     for n, c in map(sd.decode, sd.flat.elements())))
-        for side, sd in ((SIDE_A, big.sd_a), (SIDE_B, big.sd_b))
-    )
-    a_mats, b_mats = (tuple(_table_product(LETTERS, word) for word in words) for _, words in letters)
-    big_mats = SyllableMatrices(a_mats, b_mats, tuple(a_mats[x] for x in big.spec.iota_a.image))
-    syllables = {word[0]: (side, x) for side, words in letters
-                 for x, word in enumerate(words) if len(word) == 1}
-    return DihedralModel(big, small_mats, big_mats, letters, tuple(syllables.items()))
+    small_mats = _realization(small, {SIDE_A: [(("s", n),) for n in za.elements()],
+                                      SIDE_B: [(("u", n),) for n in zb.elements()]})
+    big_mats = _realization(big.spec, {
+        side: [((name, n), ("j", c)) for n, c in map(sd.decode, sd.flat.elements())]
+        for side, name, sd in ((SIDE_A, "s", big.sd_a), (SIDE_B, "u", big.sd_b))
+    })
+    return DihedralModel(big, small_mats, big_mats)
 
 
 def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
@@ -266,8 +241,8 @@ def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
     letter word is evaluated from generator powers alone, never through the
     amalgam, so it can check the decomposition; a form is checked first."""
     if isinstance(word, Glt2Word):
-        letters = {name: _letter(name) for name, _ in word.letters}
-        return _table_product(letters, word.letters)
+        powers = {name: _powers(name) for name, _ in word.letters}
+        return _table_product(powers, ((name, k % len(powers[name])) for name, k in word.letters))
     model = build_dihedral_model()
     if isinstance(word, DihedralAmalgamForm):
         check_form(model.big.spec, word.form)
@@ -328,15 +303,28 @@ def _euclid_runs(m: Mat2, syllable: Callable[[str, int], Syllable]) -> list[tupl
     return runs
 
 
+def _decompose(spec: AmalgamSpec, mats: SyllableMatrices, m: Mat2) -> NormalForm:
+    """The normal form over ``spec`` of a determinant +-1 matrix, checked
+    exactly against the realization ``mats``: for m = m' J^eps, the Euclid
+    word of m' then j^eps, each letter power read through ``mats.syllables``,
+    reduced once."""
+    m1, eps = gl2_split(m)
+    syllables = dict(mats.syllables)
+    runs = _euclid_runs(m1, lambda name, k: syllables[name, k % len(LETTERS[name])])
+    if eps:
+        runs.append(((syllables["j", eps],), 1))
+    form = reduce_runs(spec, runs)
+    if mats.evaluate(form) != m:
+        raise RuntimeError(f"decomposition of {m} failed its evaluation check")
+    return form
+
+
 def sl2_decompose(m: Mat2) -> NormalForm:
     """Canonical amalgam normal form of a determinant-1 matrix, checked exactly."""
     if mat_det(m) != 1:
         raise ValueError(f"matrix has determinant {mat_det(m)}, expected 1")
     model = build_dihedral_model()
-    form = reduce_runs(model.big.small, _euclid_runs(m, lambda name, k: LETTERS[name].syllable(k)))
-    if model.small_mats.evaluate(form) != m:
-        raise RuntimeError(f"decomposition of {m} failed its evaluation check")
-    return form
+    return _decompose(model.big.small, model.small_mats, m)
 
 
 def gl2_split(m: Mat2) -> tuple[Mat2, int]:
@@ -351,44 +339,40 @@ def gl2_split(m: Mat2) -> tuple[Mat2, int]:
 
 def gl2_decompose(m: Mat2) -> DihedralAmalgamForm:
     """Canonical dihedral-amalgam form of a determinant +-1 matrix, checked
-    exactly: for m = m' J^eps, the Euclid word of m' then j^eps, with each
-    letter power read as a dihedral syllable, reduced once."""
+    exactly."""
     model = build_dihedral_model()
-    m1, eps = gl2_split(m)
-    syllables = dict(model.syllables)
-    runs = _euclid_runs(m1, lambda name, k: syllables[name, k % len(LETTERS[name].powers)])
-    if eps:
-        runs.append(((syllables["j", eps],), 1))
-    form = DihedralAmalgamForm(reduce_runs(model.big.spec, runs))
-    if model.big_mats.evaluate(form.form) != m:
-        raise RuntimeError(f"decomposition of {m} failed its evaluation check")
-    return form
+    return DihedralAmalgamForm(_decompose(model.big.spec, model.big_mats, m))
 
 
 def word_to_form(word: Glt2Word) -> DihedralAmalgamForm:
     """Reduce a letter word directly into the dihedral amalgam."""
     model = build_dihedral_model()
-    syllables = dict(model.syllables)
+    syllables = dict(model.big_mats.syllables)
     syls: list[Syllable] = []
     for name, k in word.letters:
-        k %= len(_letter(name).powers)
+        k %= len(_powers(name))
         if k:
             syls.append(syllables[name, k])
     return DihedralAmalgamForm(reduce_word(model.big.spec, syls))
 
 
-def form_to_letters(form: DihedralAmalgamForm) -> Glt2Word:
-    """Render a dihedral form as a letter word: the letter words of its
-    syllables, with adjacent equal letters folded."""
-    model = build_dihedral_model()
-    letters = dict(model.letters)
+def _render(spec: AmalgamSpec, mats: SyllableMatrices, form: NormalForm) -> Glt2Word:
+    """A form over ``spec`` as a letter word: the letter words of its
+    syllables in ``mats.words``, with adjacent equal letters folded."""
+    words = dict(mats.words)
     return Glt2Word(fold_letters(chain.from_iterable(
-        [letters[side][x] for side, x in to_word(model.big.spec, form.form)]
+        [words[side][x] for side, x in to_word(spec, form)]
     )))
+
+
+def form_to_letters(form: DihedralAmalgamForm) -> Glt2Word:
+    """Render a dihedral form as a letter word in s, u and j."""
+    model = build_dihedral_model()
+    return _render(model.big.spec, model.big_mats, form.form)
 
 
 def small_form_to_letters(form: NormalForm) -> Glt2Word:
     """Render a plain Z4/Z6/Z2 form as a letter word in s and u: side a's x in
-    its word as s^x and side b's as u^x, adjacent equal letters folded."""
-    spec = build_dihedral_model().big.small
-    return Glt2Word(fold_letters((_SIDE_LETTER[side], x) for side, x in to_word(spec, form)))
+    its word as s^x and side b's as u^x."""
+    model = build_dihedral_model()
+    return _render(model.big.small, model.small_mats, form)

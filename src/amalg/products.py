@@ -45,8 +45,10 @@ class SemidirectGroup(NamedTuple):
     flat: FiniteGroup
 
     def encode(self, n: int, c: int) -> int:
-        if not 0 <= n < self.space.order or not 0 <= c < self.actor.order:
-            raise ValueError(f"pair ({n}, {c}) out of range for {self.flat.label}")
+        """The flat index of the pair (n, c); True and False pass as 1 and 0."""
+        if not (isinstance(n, int) and isinstance(c, int)
+                and 0 <= n < self.space.order and 0 <= c < self.actor.order):
+            raise ValueError(f"pair ({n!r}, {c!r}) out of range for {self.flat.label}")
         return n * self.actor.order + c
 
     def decode(self, i: int) -> tuple[int, int]:

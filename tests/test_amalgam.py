@@ -18,6 +18,7 @@ from amalg import (
     make_cyclic,
     make_dihedral,
     make_hom,
+    nu,
     random_form,
     reduce_word,
     syllable_count,
@@ -306,6 +307,20 @@ def test_word_eq_accepts_raw_and_reduced_arguments(small_spec):
     assert word_eq(small_spec, NormalForm(((SIDE_A, 3),), 0), [(SIDE_A, 3)])
     assert word_eq(small_spec, NormalForm(((SIDE_A, 3),), 0), NormalForm(((SIDE_A, 1),), 1))
     assert not word_eq(small_spec, NormalForm(((SIDE_A, 3),), 0), [(SIDE_A, 1)])
+
+
+def test_a_list_syllable_reads_as_reduce_word_reads_it(small_spec, big):
+    # reduce_word accepts a syllable written as a list pair, so check_form
+    # and every reader behind it do too.
+    head = ([SIDE_A, 1], [SIDE_B, 2])
+    form = NormalForm(head, 1)
+    canonical = reduce_word(small_spec, [(SIDE_A, 1), (SIDE_B, 2), (SIDE_A, 2)])
+    assert to_word(small_spec, form) == head + ((SIDE_A, 2),)
+    assert reduce_word(small_spec, to_word(small_spec, form)) == canonical
+    assert word_eq(small_spec, form, canonical)
+    assert nu(big, form) == nu(big, canonical)
+    with pytest.raises(ValueError, match="^element 9 out of range for side a"):
+        to_word(small_spec, NormalForm(([SIDE_A, 9],), 0))
 
 
 def test_syllable_count(small_spec):

@@ -460,6 +460,29 @@ def test_unreadable_spec_files_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot read action file {folder!r}: Is a directory\n"
 
 
+def iso_check_args(c: str = "Z2", act_a: str = "inv") -> list[str]:
+    return ["iso-check", "--A", "Z4", "--B", "Z6", "--D", "Z2", "--C", c, "--iotaA", "1:2",
+            "--iotaB", "1:3", "--actA", act_a, "--actB", "inv", "--actD", "inv"]
+
+
+@pytest.mark.parametrize("kind, args", [
+    ("group", lambda name: ["axioms", name]),
+    ("group", lambda name: iso_check_args(c=name)),
+    ("action", lambda name: iso_check_args(act_a=name)),
+], ids=["axioms", "iso-check-C", "iso-check-actA"])
+def test_spec_file_names_the_os_refuses_exit_2(capsys, kind, args):
+    # Too long for the OS to stat or open: one error line, no traceback.
+    name = "x" * 5000
+    assert run(args(name)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {kind} file {name!r}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # The empty name is no file either, not the current directory.
+    assert run(args("")) == 2
+    builtins = "a builtin" if kind == "group" else "'inv'"
+    assert capsys.readouterr().err == f"error: unknown {kind} '': not {builtins} and not a file\n"
+
+
 @pytest.mark.parametrize("n, rows", [(10**20, "row 0: 0\n"), (3, "row 0: 0 1 2\n")])
 def test_group_spec_order_beyond_the_rows_given_exits_2(monkeypatch, capsys, n, rows):
     text = f"group K order {n}\nidentity 0\n{rows}generators: 1\n"

@@ -640,6 +640,17 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
     (lambda big: word_mul(big.small, NormalForm((), 0), NormalForm(((SIDE_A, "1"),), 0)),
      "element '1' out of range for side a of Z4 *[Z2] Z6"),
     (lambda big: word_mul(big.small, NormalForm((), 0), NormalForm((), 1.5)), f"tail 1.5 {SMALL_SUB}"),
+    (lambda big: tau(big, 1.0), "pair (0, 1.0) out of range for Z2:Z2"),
+    (lambda big: tau(big, "1"), "pair (0, '1') out of range for Z2:Z2"),
+    (lambda big: big.act(1.0, NormalForm(((SIDE_A, 1),), 0)),
+     "pair (0, 1.0) out of range for Z2:Z2"),
+    (lambda big: SmallSemidirect(big).mul((NormalForm((), 0), 0), (NormalForm((), 0), 1.0)),
+     "pair (0, 1.0) out of range for Z2:Z2"),
+    (lambda big: phi(big, NormalForm((), 0), 1.0), "pair (0, 1.0) out of range for Z2:Z2"),
+    (lambda big: big.sd_d.encode(0, 1.0), "pair (0, 1.0) out of range for Z2:Z2"),
+    (lambda big: big.sd_d.encode("0", 1), "pair ('0', 1) out of range for Z2:Z2"),
+    (lambda big: to_word(big.small, NormalForm(([SIDE_A, 9],), 0)),
+     "element 9 out of range for side a of Z4 *[Z2] Z6"),
 ], ids=["nu-a-negative", "nu-a-9", "nu-side-z", "tau-negative", "tau-5", "phi-negative", "phi-5",
         "act-negative", "act-5", "word-inv-side-z", "act-side-z",
         "word-inv-a-negative", "word-inv-a-9", "act-a-negative", "act-a-9",
@@ -656,7 +667,8 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
         "side-matrix-a-negative", "side-matrix-a-99", "sub-matrix-negative",
         "word-eq-a-9", "word-eq-side-z", "word-eq-tail-7", "word-eq-raw-and-tail-7",
         "to-word-a-float", "to-word-tail-float", "reduce-word-a-float", "word-mul-right-a-str",
-        "word-mul-right-tail-float"])
+        "word-mul-right-tail-float", "tau-float", "tau-str", "act-float", "sd-mul-float",
+        "phi-float", "encode-float", "encode-str", "to-word-list-a-9"])
 def test_iso_maps_report_out_of_range_input(big, call, message):
     with pytest.raises(ValueError) as err:
         call(big)

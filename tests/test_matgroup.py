@@ -251,14 +251,19 @@ def test_caller_forms_render_as_their_flat_pairs(model, data):
 def test_each_letter_power_is_read_as_its_flat_pair(model):
     big = model.big
     base = {SIDE_A: big.base_a, SIDE_B: big.base_b}
-    for name, letter in matgroup.LETTERS.items():
+    small = dict(model.small_mats.syllables)
+    for name, powers in matgroup.LETTERS.items():
         for k in range(-13, 14):
-            if letter.side:
-                side, x = letter.syllable(k)
-                syllable = (side, base[side][x])
-            else:  # j generates the actor: (0, c) on side a
-                syllable = (SIDE_A, big.sd_a.encode(0, k % len(letter.powers)))
-            expected = reduce_word(big.spec, [syllable])
+            r = k % len(powers)
+            if name == "j":  # j generates the actor: (0, c) on side a
+                word = [(SIDE_A, big.sd_a.encode(0, r))]
+            elif r:  # s^r on side a, u^r on side b of the small amalgam
+                assert small[name, r] == ({"s": SIDE_A, "u": SIDE_B}[name], r)
+                side, x = small[name, r]
+                word = [(side, base[side][x])]
+            else:
+                word = []
+            expected = reduce_word(big.spec, word)
             assert word_to_form(Glt2Word(((name, k),))).form == expected, (name, k)
 
 
@@ -476,10 +481,11 @@ def test_unipotents_reduce_as_their_expanded_euclid_words(model):
         runs = matgroup._euclid_runs(m, lambda name, k: (name, k))
         return [letter for block, k in runs for letter in list(block) * k]
 
+    syllables = dict(model.small_mats.syllables)
     for n in range(-300, 301):
         for m in (Mat2(1, n, 0, 1), Mat2(1, 0, n, 1)):
             letters = expanded_letters(m)
-            small = [matgroup.LETTERS[name].syllable(k) for name, k in letters]
+            small = [syllables[name, k % len(matgroup.LETTERS[name])] for name, k in letters]
             assert sl2_decompose(m) == reduce_word(model.big.small, small)
             assert gl2_decompose(m) == word_to_form(Glt2Word(tuple(letters)))
             with_j = Glt2Word(tuple(letters) + (("j", 1),))

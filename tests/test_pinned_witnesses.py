@@ -286,6 +286,29 @@ def test_functor_laws_build_each_catalog_product_once(monkeypatch):
     assert sorted(calls) == ["Z2", "Z4", "Z6"]
 
 
+def test_functor_records_when_each_lift_is_followed_by_inversion(monkeypatch):
+    # The lift of psi then inversion is a homomorphism but not psi x id: it
+    # breaks the identity law where inversion is not the identity, and the
+    # composition law where the composite has elements of order above 2.
+    lift = products._lift
+
+    def inverted_lift(psi, actor, act_n, act_m, built):
+        inversion = products.make_hom(psi.target, psi.target, psi.target.inv)
+        return lift(products.hom_compose(psi, inversion), actor, act_n, act_m, built)
+
+    monkeypatch.setattr(products, "_lift", inverted_lift)
+    actor, spaces, homs = inversion_embedding_catalog()
+    records = verify_functor_laws(actor, spaces, homs).records
+    failed = [(r.check, r.instance, r.witness) for r in records if not r.ok]
+    not_identity = "lift of identity is not the identity"
+    assert failed == [
+        ("functor-identity", "id_Z4", not_identity),
+        ("functor-identity", "id_Z6", not_identity),
+    ] + [("functor-composition", "Z4->Z4->Z4", "images differ at flat element 2")] * 4 + [
+        ("functor-composition", "Z6->Z6->Z6", "images differ at flat element 2")] * 4
+    assert len(records) == 18
+
+
 MU_ZERO_SCRIPT = """\
 import amalg.iso as iso
 from amalg import build_dihedral_model, verify_exact_sequence
