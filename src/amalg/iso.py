@@ -29,7 +29,7 @@ semidirect tables.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .amalgam import (
     SIDE_A,
@@ -132,7 +132,7 @@ class BigAmalgam(NamedTuple):
         (form, e_C).  An actor element out of range gets ``tau``'s error."""
         tau(self, c)
         word = to_word(self.small, form)
-        return _times(self, (identity_form(self.small), c), [(word, self.actor.identity)])[0]
+        return _times(self, (((), self.small.d.identity), c), [(word, self.actor.identity)])[0]
 
 
 def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmalgam:
@@ -220,22 +220,25 @@ def phi(big: BigAmalgam, form: NormalForm, c: int) -> NormalForm:
     return word_mul(big.spec, nu(big, form), tau(big, c))
 
 
-def _times(big: BigAmalgam, x: tuple[NormalForm, int], pairs: list) -> tuple[NormalForm, int]:
+def _times(
+    big: BigAmalgam, x: tuple[tuple[Sequence[Syllable], int], int], pairs: list
+) -> tuple[NormalForm, int]:
     """The product in (A *_D B) x| C of x = (form, c) and the pairs (raw word,
     c), left to right: the C-part gathered so far acts on each later syllable
     through the side actions, and the acted syllables fold onto a copy of x's
-    stack, as in ``word_mul``.  Callers check x and the actor elements."""
+    stack, as in ``word_mul``.  The form is read only as a pair (head, tail),
+    so a plain tuple will do.  Callers check x and the actor elements."""
     act_a, act_b, _ = big.acts
     act = {SIDE_A: act_a.table, SIDE_B: act_b.table}
     c_mul = act_a.actor.mul
-    form, acc = x
+    (head, tail), acc = x
     word: list[Syllable] = []
     for syllables, c in pairs:
         for s, n in syllables:
             word.append((s, act[s][acc][n]))
         acc = c_mul[acc][c]
-    stack = list(form.head)
-    d = _append(big.small, stack, form.tail, word)
+    stack = list(head)
+    d = _append(big.small, stack, tail, word)
     return NormalForm(tuple(stack), d), acc
 
 
@@ -244,7 +247,7 @@ def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
     ((n), c), one for each syllable (n, c) of ``to_word(g)``.  The tail
     (d, c) is its syllable (iota_a(d), c), which compatibility acts on as on
     d.  It reads only the actions, never ``tau``, and folds once."""
-    q, e = big.actor.order, (identity_form(big.small), big.actor.identity)
+    q, e = big.actor.order, (((), big.small.d.identity), big.actor.identity)
     return _times(big, e, [(((s, x // q),), x % q) for s, x in to_word(big.spec, g)])
 
 

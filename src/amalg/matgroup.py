@@ -16,8 +16,13 @@ inversion actions.  ``build_dihedral_model`` tabulates the realization of
 each amalgam once, as one ``SyllableMatrices`` record built from the letter
 word of each element of each side; one decomposer and one renderer read
 either record.  A decomposition reduces its Euclid word once, with each long
-T^q folded a period at a time as a run, and evaluates the flat form exactly.
-All arithmetic is plain Python int, so entries may grow without overflow.
+T^q folded a period at a time as a run, and checks the form's exact value:
+each stretch where the fold inserted whole periods, once one tuple comparison
+shows the head repeating there, as one period's product raised by
+``mat_pow``, and every other syllable by one table lookup and product.  The
+renderer joins the letter words of the syllables and folds letters only from
+the first pair of equal neighbours.  All arithmetic is plain Python int, so
+entries may grow without overflow.
 
 ``LETTERS`` maps each letter s, u, j to its tuple of powers, whose length is
 the letter's order.  Every function here that reads or writes letter words
@@ -29,10 +34,11 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .amalgam import (
-    SIDE_A, SIDE_B, AmalgamSpec, NormalForm, Syllable, check_form, make_amalgam, reduce_runs,
+    SIDE_A, SIDE_B, AmalgamSpec, NormalForm, Syllable, _fold_runs, check_form, make_amalgam,
     reduce_word, to_word,
 )
 from .groups import hom_from_generators, inversion_action, make_cyclic
@@ -115,11 +121,13 @@ def standard_generators() -> tuple[Mat2, Mat2, Mat2]:
     return Mat2(0, -1, 1, 0), Mat2(0, -1, 1, 1), Mat2(0, 1, 1, 0)
 
 
-def _table_product(tables: Mapping[str, Any], keys: Iterable[tuple[str, int]]) -> Mat2:
-    """The product of ``tables[name][i]`` over the pairs (name, i), left to
-    right.  It folds the four entries as local ints and builds one ``Mat2`` at
-    the end, none per step."""
-    a, b, c, d = 1, 0, 0, 1
+def _table_product(
+    tables: Mapping[str, Any], keys: Iterable[tuple[str, int]], start: Mat2 = IDENTITY
+) -> Mat2:
+    """``start`` times the product of ``tables[name][i]`` over the pairs
+    (name, i), left to right.  It folds the four entries as local ints and
+    builds one ``Mat2`` at the end, none per step."""
+    a, b, c, d = start
     for name, i in keys:
         p, q, r, s = tables[name][i]
         a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
@@ -131,13 +139,6 @@ LETTERS = {
     name: tuple(mat_pow(m, n) for n in range(order))
     for name, m, order in (("s", _S, 4), ("u", _U, 6), ("j", _J, 2))
 }
-
-
-def _powers(name: str) -> tuple[Mat2, ...]:
-    try:
-        return LETTERS[name]
-    except KeyError:
-        raise ValueError(f"unknown letter {name!r}") from None
 
 
 def fold_letters(raw: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
@@ -158,6 +159,22 @@ class Glt2Word(NamedTuple):
     letters: tuple[tuple[str, int], ...]
 
 
+def _reduced_letters(word: Glt2Word) -> list[tuple[str, int]]:
+    """The letters (name, k) of ``word`` as (name, k mod the letter's order).
+    A ValueError names the first unknown letter, or the first exponent that is
+    not an int with its letter and position; True and False pass as 1 and 0."""
+    letters = []
+    for i, (name, k) in enumerate(word.letters):
+        try:
+            order = len(LETTERS[name])
+        except KeyError:
+            raise ValueError(f"unknown letter {name!r}") from None
+        if not isinstance(k, int):
+            raise ValueError(f"exponent {k!r} of letter {name!r} at position {i} is not an integer")
+        letters.append((name, k % order))
+    return letters
+
+
 class DihedralAmalgamForm(NamedTuple):
     """A normal form over the dihedral amalgam (D4 amalgamated with D6)."""
 
@@ -176,11 +193,24 @@ class SyllableMatrices(NamedTuple):
     words: tuple[tuple[str, tuple[tuple[tuple[str, int], ...], ...]], ...]
     syllables: tuple[tuple[tuple[str, int], Syllable], ...]
 
-    def evaluate(self, form: NormalForm) -> Mat2:
+    def evaluate(self, form: NormalForm, periods: Iterable[tuple[int, int, int]] = ()) -> Mat2:
         """Exact matrix value of a normal form: one table lookup and one
-        product per syllable."""
-        head = _table_product({SIDE_A: self.a, SIDE_B: self.b}, form.head)
-        return mat_mul(head, self.d[form.tail])
+        product per syllable, except in the stretches ``periods`` names.  A
+        stretch (start, p, count) whose slice of the head is its first p
+        syllables repeated ``count`` times, tested by one tuple comparison,
+        is one period's product raised to ``count`` by ``mat_pow``; one that
+        fails the test, is out of range or empty, or overlaps a stretch
+        already used is read syllable by syllable."""
+        tables = {SIDE_A: self.a, SIDE_B: self.b}
+        head, acc, done = form.head, IDENTITY, 0
+        for start, p, count in sorted(periods):
+            end = start + p * count
+            if (done <= start and p > 0 and count > 0 and end <= len(head)
+                    and head[start:end] == head[start:start + p] * count):
+                acc = _table_product(tables, head[done:start], acc)
+                acc = mat_mul(acc, mat_pow(_table_product(tables, head[start:start + p]), count))
+                done = end
+        return mat_mul(_table_product(tables, head[done:], acc), self.d[form.tail])
 
 
 def _realization(spec: AmalgamSpec, raw: Mapping[str, Iterable]) -> SyllableMatrices:
@@ -241,8 +271,7 @@ def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
     letter word is evaluated from generator powers alone, never through the
     amalgam, so it can check the decomposition; a form is checked first."""
     if isinstance(word, Glt2Word):
-        powers = {name: _powers(name) for name, _ in word.letters}
-        return _table_product(powers, ((name, k % len(powers[name])) for name, k in word.letters))
+        return _table_product(LETTERS, _reduced_letters(word))
     model = build_dihedral_model()
     if isinstance(word, DihedralAmalgamForm):
         check_form(model.big.spec, word.form)
@@ -313,8 +342,8 @@ def _decompose(spec: AmalgamSpec, mats: SyllableMatrices, m: Mat2) -> NormalForm
     runs = _euclid_runs(m1, lambda name, k: syllables[name, k % len(LETTERS[name])])
     if eps:
         runs.append(((syllables["j", eps],), 1))
-    form = reduce_runs(spec, runs)
-    if mats.evaluate(form) != m:
+    form, periods = _fold_runs(spec, runs)
+    if mats.evaluate(form, periods) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form
 
@@ -348,21 +377,23 @@ def word_to_form(word: Glt2Word) -> DihedralAmalgamForm:
     """Reduce a letter word directly into the dihedral amalgam."""
     model = build_dihedral_model()
     syllables = dict(model.big_mats.syllables)
-    syls: list[Syllable] = []
-    for name, k in word.letters:
-        k %= len(_powers(name))
-        if k:
-            syls.append(syllables[name, k])
+    syls = [syllables[name, k] for name, k in _reduced_letters(word) if k]
     return DihedralAmalgamForm(reduce_word(model.big.spec, syls))
 
 
 def _render(spec: AmalgamSpec, mats: SyllableMatrices, form: NormalForm) -> Glt2Word:
     """A form over ``spec`` as a letter word: the letter words of its
-    syllables in ``mats.words``, with adjacent equal letters folded."""
+    syllables in ``mats.words``, joined, with adjacent equal letters folded.
+    Table words are folded and their exponents positive, so ``fold_letters``
+    would copy every letter before the first pair of adjacent equal letters
+    and never pop back past it: only the letters from that pair are folded
+    (for a canonical form, at most those of the tail)."""
     words = dict(mats.words)
-    return Glt2Word(fold_letters(chain.from_iterable(
-        [words[side][x] for side, x in to_word(spec, form)]
-    )))
+    letters = tuple(chain.from_iterable([words[side][x] for side, x in to_word(spec, form)]))
+    names = "".join(map(itemgetter(0), letters))  # every letter name is one character
+    i = min([j for j in map(names.find, [name * 2 for name in LETTERS]) if j >= 0],
+            default=len(letters))
+    return Glt2Word(letters[:i] + fold_letters(letters[i:]))
 
 
 def form_to_letters(form: DihedralAmalgamForm) -> Glt2Word:

@@ -355,7 +355,7 @@ def test_gl2_decompose_eval_round_trip(capsys):
 
 
 def test_a_failed_evaluation_check_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(matgroup, "reduce_runs", lambda spec, runs: NormalForm(((SIDE_A, 1),), 0))
+    monkeypatch.setattr(matgroup, "_fold_runs", lambda spec, runs: (NormalForm(((SIDE_A, 1),), 0), []))
     assert run(["gl2", "decompose", "[[0,-1],[1,1]]"]) == 1
     assert capsys.readouterr().err == (
         "assertion failed: decomposition of Mat2(a=0, b=-1, c=1, d=1) failed its evaluation check\n"

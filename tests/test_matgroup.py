@@ -38,6 +38,8 @@ from amalg import (
     word_to_form,
 )
 
+from test_amalgam import make_nonabelian_amalgam, random_raw_word, random_run
+
 S, U, J = standard_generators()
 NEG_I = Mat2(-1, 0, 0, -1)
 
@@ -224,6 +226,22 @@ def test_word_to_form_rejects_unknown_letter():
         word_to_form(Glt2Word((("x", 1),)))
 
 
+@pytest.mark.parametrize("k", [1.5, "1", None, 2.0])
+def test_a_letter_exponent_that_is_not_an_int_is_named_with_its_position(k):
+    word = Glt2Word((("u", 1), ("s", k), ("j", 1.5)))
+    message = f"exponent {k!r} of letter 's' at position 1 is not an integer"
+    for read in (word_to_form, evaluate_word):
+        with pytest.raises(ValueError) as err:
+            read(word)
+        assert str(err.value) == message
+
+
+def test_true_and_false_exponents_pass_as_1_and_0():
+    word = Glt2Word((("s", True), ("u", False), ("j", True)))
+    assert evaluate_word(word) == evaluate_word(Glt2Word((("s", 1), ("j", 1)))) == mat_mul(S, J)
+    assert word_to_form(word) == word_to_form(Glt2Word((("s", 1), ("j", 1))))
+
+
 def divmod_letters(model, form):
     """The rendering of a dihedral form read as flat pairs: each syllable or
     tail x of side a or b is divmod(x, |C|) = (n, c), written s^n or u^n
@@ -246,6 +264,22 @@ def test_caller_forms_render_as_their_flat_pairs(model, data):
     head = data.draw(st.lists(st.sampled_from(sorted(spec.syllables)), max_size=12))
     form = NormalForm(tuple(head), data.draw(st.integers(0, spec.d.order - 1)))
     assert form_to_letters(DihedralAmalgamForm(form)) == divmod_letters(model, form)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(dihedral=st.booleans(), canonical=st.booleans(), data=st.data())
+def test_render_folds_the_joined_table_words(model, dihedral, canonical, data):
+    # Canonical forms, and any form check_form accepts: identity syllables
+    # (empty table words) and neighbours on the same side included.
+    spec, mats = (model.big.spec, model.big_mats) if dihedral else (model.big.small, model.small_mats)
+    if canonical:
+        form = random_form(random.Random(data.draw(st.integers(0, 2**32))), spec, 40)
+    else:
+        head = data.draw(st.lists(st.sampled_from(sorted(spec.syllables)), max_size=12))
+        form = NormalForm(tuple(head), data.draw(st.integers(0, spec.d.order - 1)))
+    words = dict(mats.words)
+    joined = [letter for side, x in to_word(spec, form) for letter in words[side][x]]
+    assert matgroup._render(spec, mats, form) == Glt2Word(matgroup.fold_letters(joined))
 
 
 def test_each_letter_power_is_read_as_its_flat_pair(model):
@@ -344,9 +378,9 @@ def count_evaluations(monkeypatch) -> list[int]:
     calls: list[int] = []
     evaluate = matgroup.SyllableMatrices.evaluate
 
-    def counted(self, form):
+    def counted(self, form, periods=()):
         calls.append(1)
-        return evaluate(self, form)
+        return evaluate(self, form, periods)
 
     monkeypatch.setattr(matgroup.SyllableMatrices, "evaluate", counted)
     return calls
@@ -384,24 +418,24 @@ def count_calls(monkeypatch, *names: str) -> dict[str, int]:
 @pytest.mark.parametrize("m", MATRICES)
 def test_each_decomposition_is_reduced_once(monkeypatch, m):
     build_dihedral_model()  # built before counting: construction is not decomposition
-    names = ("amalgam.reduce_runs", "amalgam.reduce_word", "iso.phi", "iso.nu",
+    names = ("amalgam._fold_runs", "amalgam.reduce_word", "iso.phi", "iso.nu",
              "amalgam.word_mul", "iso.tau")
-    once = {name: int(name == "amalgam.reduce_runs") for name in names}
+    once = {name: int(name == "amalgam._fold_runs") for name in names}
     counts = count_calls(monkeypatch, *names)
     gl2_decompose(m)
     assert counts == once
     if mat_det(m) == 1:
-        counts["amalgam.reduce_runs"] = 0
+        counts["amalgam._fold_runs"] = 0
         sl2_decompose(m)
         assert counts == once
 
 
 def test_a_wrong_decomposition_fails_its_evaluation_check(monkeypatch):
     wrong = NormalForm(((SIDE_A, 1),), 0)
-    monkeypatch.setattr(matgroup, "reduce_runs", lambda spec, runs: wrong)
+    monkeypatch.setattr(matgroup, "_fold_runs", lambda spec, runs: (wrong, []))
     with pytest.raises(RuntimeError, match="failed its evaluation check"):
         gl2_decompose(U)
-    monkeypatch.setattr(matgroup, "reduce_runs", lambda spec, runs: wrong)
+    monkeypatch.setattr(matgroup, "_fold_runs", lambda spec, runs: (wrong, []))
     with pytest.raises(RuntimeError, match="failed its evaluation check"):
         sl2_decompose(U)
 
@@ -416,14 +450,98 @@ def test_evaluate_word_agrees_with_a_product_of_generator_powers(letters):
     assert evaluate_word(Glt2Word(tuple(letters))) == expected
 
 
+def flat_product(mats, form):
+    """The product of the table entries of a form's syllables and tail, one
+    by one: the reference that ``evaluate`` must equal."""
+    side = {SIDE_A: mats.a, SIDE_B: mats.b}
+    entries = [side[s][x] for s, x in form.head] + [mats.d[form.tail]]
+    return functools.reduce(mat_mul, entries, IDENTITY)
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(dihedral=st.booleans(), seed=st.integers(0, 2**32))
 def test_evaluate_agrees_with_a_product_of_table_entries(model, dihedral, seed):
     spec, mats = (model.big.spec, model.big_mats) if dihedral else (model.big.small, model.small_mats)
     form = random_form(random.Random(seed), spec, 60)
-    side = {SIDE_A: mats.a, SIDE_B: mats.b}
-    entries = [side[s][x] for s, x in form.head] + [mats.d[form.tail]]
-    assert mats.evaluate(form) == functools.reduce(mat_mul, entries, IDENTITY)
+    assert mats.evaluate(form) == flat_product(mats, form)
+
+
+def edited_report(periods, n, edit):
+    """The fold's report ``periods`` on a head of n syllables, as given
+    ("right") or edited so that each stretch (start, p, count) is stale
+    (shifted, or with the wrong period), doubled by an overlapping one,
+    split in two adjacent ones, joined by stretches out of range, empty, or
+    with a negative period or count."""
+    if edit == "right":
+        return list(periods)
+    edits = {
+        "stale": lambda s, p, c: [(s + i, p + 1, p * c // (p + 1) - 1) for i in (0, 1)],
+        "overlapping": lambda s, p, c: [(s, p, c), (s + p, p, c - 1), (s + 1, p, 1)],
+        "adjacent": lambda s, p, c: [(s, p, c // 2), (s + p * (c // 2), p, c - c // 2)],
+        "out of range": lambda s, p, c: [(-p, p, c), (s, p, c + n), (n, p, 1), (s, p, c)],
+        "empty": lambda s, p, c: [(s, 0, c), (s, p, 0)],
+        "negative": lambda s, p, c: [(s + p * c, -p, c), (s + p * c, p, -c)],
+    }
+    return [stretch for s, p, c in periods for stretch in edits[edit](s, p, c)]
+
+
+REPORT_EDITS = ("right", "stale", "overlapping", "adjacent", "out of range", "empty", "negative")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(name=st.sampled_from(["small", "dihedral", "nonabelian"]), seed=st.integers(0, 2**32),
+       edit=st.sampled_from(REPORT_EDITS))
+def test_the_run_aware_check_equals_the_flat_product(model, name, seed, edit):
+    # Forms of prefix * block^k * suffix from the run fold, the suffix often
+    # popping into the repeated stretch, so that the report goes stale.  The
+    # nonabelian amalgam gets random matrices for its table entries: the
+    # check reads only the tables, and a product of random matrices shows a
+    # stretch read out of place.
+    rng = random.Random(seed)
+    if name == "nonabelian":
+        spec = make_nonabelian_amalgam()
+        mats = matgroup.SyllableMatrices(*(
+            tuple(evaluate_word(random_letter_word(rng, 3)) for _ in range(g.order))
+            for g in (spec.a, spec.b, spec.d)), (), ())
+    else:
+        spec, mats = ((model.big.small, model.small_mats) if name == "small"
+                      else (model.big.spec, model.big_mats))
+    prefix = random_raw_word(rng, spec, rng.randint(0, 8))
+    block, _ = random_run(rng, spec, prefix)
+    k = rng.randint(2, 60)
+    raw = prefix + block * k
+    inv = {SIDE_A: spec.a.inv, SIDE_B: spec.b.inv}
+    suffix = ([(s, inv[s][x]) for s, x in reversed(raw[-rng.randint(1, len(raw)):])]
+              if raw and rng.random() < 0.5 else random_raw_word(rng, spec, rng.randint(0, 4)))
+    form, periods = matgroup._fold_runs(spec, [(prefix, 1), (block, k), (suffix, 1)])
+    assert form == reduce_word(spec, raw + suffix)
+    assert mats.evaluate(form, edited_report(periods, len(form.head), edit)) == flat_product(mats, form)
+
+
+def count_table_entries(monkeypatch) -> list[int]:
+    """Count the table entries that ``_table_product`` multiplies."""
+    entries: list[int] = []
+    true = matgroup._table_product
+
+    def counted(tables, keys, start=IDENTITY):
+        keys = list(keys)
+        entries.append(len(keys))
+        return true(tables, keys, start)
+
+    monkeypatch.setattr(matgroup, "_table_product", counted)
+    return entries
+
+
+def test_a_long_unipotents_check_multiplies_few_table_entries(monkeypatch):
+    build_dihedral_model()  # built before counting: construction is not decomposition
+    entries = count_table_entries(monkeypatch)
+    m = Mat2(1, 10**5, 0, 1)
+    form = sl2_decompose(m)
+    assert len(form.head) == 2 * 10**5
+    assert 0 < sum(entries) <= 64
+    entries.clear()
+    gl2_decompose(mat_mul(m, J))
+    assert 0 < sum(entries) <= 64
 
 
 def continued_fraction_matrix(quotients):
@@ -436,17 +554,21 @@ def continued_fraction_matrix(quotients):
 LONG_MATRICES = (continued_fraction_matrix([1, 2, 3] * 100 + [1]), Mat2(1, 500, 0, 1))
 
 
+def swapped(spec, form, i):
+    """``form`` with the b syllable at or after position i swapped for another
+    non-identity representative of side b: still a normal form."""
+    head = list(form.head)
+    i += head[i][0] != SIDE_B
+    head[i] = (SIDE_B, next(r for r in spec.trans_b[1:] if r != head[i][1]))
+    return NormalForm(tuple(head), form.tail)
+
+
 def corrupted(spec, form, what):
-    """``form`` with its tail changed, or with its middle b syllable swapped
-    for the other non-identity representative of side b: still a normal
-    form, of another element."""
+    """``form`` with its tail changed, or with its middle b syllable swapped:
+    still a normal form, of another element."""
     if what == "tail":
         return NormalForm(form.head, (form.tail + 1) % spec.d.order)
-    head = list(form.head)
-    i = len(head) // 2 + (head[len(head) // 2][0] != SIDE_B)
-    t = head[i][1]
-    head[i] = (SIDE_B, next(r for r in spec.trans_b[1:] if r != t))
-    return NormalForm(tuple(head), form.tail)
+    return swapped(spec, form, len(form.head) // 2)
 
 
 def _decomposable_matrices():
@@ -497,20 +619,21 @@ def test_unipotents_reduce_as_their_expanded_euclid_words(model):
 def test_the_check_catches_a_wrong_form_deep_in_a_long_decomposition(model, monkeypatch, m, what):
     if mat_det(m) == -1:
         assert min(map(abs, m)) >= 10**99  # every entry has 100 digits or more
-    # Each decomposition's form comes from its one reduce_runs call.
+    # Each decomposition's form comes from its one _fold_runs call, returned
+    # corrupted with the fold's true report of its repeated stretches.
     for decompose, spec, name in (
-        (gl2_decompose, model.big.spec, "reduce_runs"),
-        (sl2_decompose, model.big.small, "reduce_runs"),
+        (gl2_decompose, model.big.spec, "_fold_runs"),
+        (sl2_decompose, model.big.small, "_fold_runs"),
     ):
         true = getattr(matgroup, name)
         wrong_forms = []
 
         def wrong(*args):
-            form = true(*args)
+            form, periods = true(*args)
             wrong_forms.append(corrupted(spec, form, what))
             assert len(form.head) >= 200 and wrong_forms[-1] != form
             assert reduce_word(spec, to_word(spec, wrong_forms[-1])) == wrong_forms[-1]
-            return wrong_forms[-1]
+            return wrong_forms[-1], periods
 
         target = m if decompose is gl2_decompose else gl2_split(m)[0]
         monkeypatch.setattr(matgroup, name, wrong)
@@ -519,3 +642,25 @@ def test_the_check_catches_a_wrong_form_deep_in_a_long_decomposition(model, monk
         assert len(wrong_forms) == 1
         monkeypatch.setattr(matgroup, name, true)
         decompose(target)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_the_check_catches_a_wrong_syllable_in_a_repeated_stretch(model, monkeypatch, where):
+    # The fold's true report comes with a form corrupted inside the stretch
+    # it names: the comparison guard must refuse the stretch.
+    m = Mat2(1, 0, -500, 1)
+    for decompose, spec in ((gl2_decompose, model.big.spec), (sl2_decompose, model.big.small)):
+        true = matgroup._fold_runs
+
+        def wrong(*args):
+            form, periods = true(*args)
+            ((start, p, count),) = periods
+            assert count >= 100
+            period = {"first": 0, "middle": count // 2, "last": count - 1}[where]
+            return swapped(spec, form, start + p * period), periods
+
+        monkeypatch.setattr(matgroup, "_fold_runs", wrong)
+        with pytest.raises(RuntimeError, match="failed its evaluation check"):
+            decompose(m)
+        monkeypatch.setattr(matgroup, "_fold_runs", true)
+        decompose(m)
