@@ -26,7 +26,7 @@ and rewrites only the top m.  While the stack has not shrunk from one block
 boundary to the next, the state (d, top m entries) at a boundary fixes every
 later boundary, up to the untouched entries below.  So once a state recurs,
 each further period pushes the same entries under the top m, and a periodic
-run costs O(period) folds however large k is (``reduce_runs``).  The stack
+run costs O(period) folds however large k is (``_fold_runs``).  The stack
 entries from the recurring state's top up to the current top are then one
 period, repeated once per period, and ``_fold_runs`` reports where, so that a
 reader of the form can take the stretch as one period raised to a power.
@@ -211,11 +211,12 @@ def reduce_word(spec: AmalgamSpec, word: Iterable[Syllable]) -> NormalForm:
 def _fold_runs(
     spec: AmalgamSpec, runs: Iterable[tuple[Sequence[Syllable], int]]
 ) -> tuple[NormalForm, list[tuple[int, int, int]]]:
-    """``reduce_runs``'s form, and where it inserted whole periods: one
-    (start, p, count) per run whose state recurred on a higher stack, saying
-    that the head's entries from ``start`` were then p entries repeated
-    ``count`` times.  Later runs may pop or rewrite them, so a reader
-    compares before it relies on one."""
+    """The normal form of a word given as runs (block, k), each the block
+    repeated k times, and where it inserted whole periods: one (start, p,
+    count) per run whose state recurred on a higher stack, saying that the
+    head's entries from ``start`` were then p entries repeated ``count``
+    times.  Later runs may pop or rewrite them, so a reader compares before
+    it relies on one."""
     stack: list[Syllable] = []
     periods: list[tuple[int, int, int]] = []
     d = spec.d.identity
@@ -240,13 +241,6 @@ def _fold_runs(
                 break
             d = _append(spec, stack, d, block)
     return NormalForm(tuple(stack), d), periods
-
-
-def reduce_runs(spec: AmalgamSpec, runs: Iterable[tuple[Sequence[Syllable], int]]) -> NormalForm:
-    """The normal form of a word given as runs (block, k), each the block
-    repeated k times.  Once a run's state recurs (see the module docstring),
-    its whole periods left are inserted with one list repeat."""
-    return _fold_runs(spec, runs)[0]
 
 
 def check_form(spec: AmalgamSpec, form: NormalForm) -> None:

@@ -13,15 +13,15 @@ to determinant -1 through the order-2 section
 
 landing in the dihedral amalgam built from Z4 x| Z2, Z6 x| Z2, Z2 x| Z2 with
 inversion actions.  ``build_dihedral_model`` tabulates the realization of
-each amalgam once, as one ``SyllableMatrices`` record built from the letter
-word of each element of each side; one decomposer and one renderer read
-either record.  A decomposition reduces its Euclid word once, with each long
-T^q folded a period at a time as a run, and checks the form's exact value:
-each stretch where the fold inserted whole periods, once one tuple comparison
-shows the head repeating there, as one period's product raised by
-``mat_pow``, and every other syllable by one table lookup and product.  The
-renderer joins the letter words of the syllables and folds letters only from
-the first pair of equal neighbours.  All arithmetic is plain Python int, so
+each amalgam once, as one ``SyllableMatrices`` record that carries the amalgam
+it realizes and the letter word of each element of each side; one decomposer
+and one renderer read either record.  A decomposition reduces its Euclid word
+once, with each long T^q folded a period at a time as a run, and checks the
+form's exact value: each stretch where the fold inserted whole periods, once
+one tuple comparison shows the head repeating there, as one period's product
+raised by ``mat_pow``, and every other syllable by one table lookup and
+product.  The renderer joins the letter words of the syllables and folds
+letters only from the first pair of equal neighbours.  All arithmetic is plain Python int, so
 entries may grow without overflow.
 
 ``LETTERS`` maps each letter s, u, j to its tuple of powers, whose length is
@@ -35,7 +35,7 @@ import sys
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .amalgam import (
     SIDE_A, SIDE_B, AmalgamSpec, NormalForm, Syllable, _fold_runs, check_form, make_amalgam,
@@ -161,13 +161,20 @@ class Glt2Word(NamedTuple):
 
 def _reduced_letters(word: Glt2Word) -> list[tuple[str, int]]:
     """The letters (name, k) of ``word`` as (name, k mod the letter's order).
-    A ValueError names the first unknown letter, or the first exponent that is
-    not an int with its letter and position; True and False pass as 1 and 0."""
+    A ValueError names the first letter that is not a pair, or the first
+    unknown letter, or the first exponent that is not an int with its letter
+    and position; True and False pass as 1 and 0."""
     letters = []
-    for i, (name, k) in enumerate(word.letters):
+    for i, letter in enumerate(word.letters):
+        try:
+            name, k = letter
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"letter {letter!r} at position {i} is not a (name, exponent) pair"
+            ) from None
         try:
             order = len(LETTERS[name])
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
             raise ValueError(f"unknown letter {name!r}") from None
         if not isinstance(k, int):
             raise ValueError(f"exponent {k!r} of letter {name!r} at position {i} is not an integer")
@@ -182,11 +189,12 @@ class DihedralAmalgamForm(NamedTuple):
 
 
 class SyllableMatrices(NamedTuple):
-    """One amalgam's realization in GL2(Z): ``words`` holds the letter word of
-    each element of each side (pairs (side, words)), ``a[x]`` and ``b[x]``
-    their matrices, ``d[x]`` the subgroup's through side a, and ``syllables``
-    the syllable of each one-letter word (pairs ((letter, k), syllable))."""
+    """The realization in GL2(Z) of the amalgam ``spec``: ``words`` holds the
+    letter word of each element of each side (pairs (side, words)), ``a[x]``
+    and ``b[x]`` their matrices, ``d[x]`` the subgroup's through side a, and
+    ``syllables`` the syllable of each one-letter word (pairs (letter, syllable))."""
 
+    spec: AmalgamSpec
     a: tuple[Mat2, ...]
     b: tuple[Mat2, ...]
     d: tuple[Mat2, ...]
@@ -221,7 +229,7 @@ def _realization(spec: AmalgamSpec, raw: Mapping[str, Iterable]) -> SyllableMatr
     syllables = {word[0]: (side, x) for side, ws in words
                  for x, word in enumerate(ws) if len(word) == 1}
     d = tuple(a[x] for x in spec.iota_a.image)
-    return SyllableMatrices(a, b, d, words, tuple(syllables.items()))
+    return SyllableMatrices(spec, a, b, d, words, tuple(syllables.items()))
 
 
 class DihedralModel(NamedTuple):
@@ -234,12 +242,11 @@ class DihedralModel(NamedTuple):
     big_mats: SyllableMatrices
 
     def side_matrix(self, side: str, x: int) -> Mat2:
-        check_form(self.big.spec, NormalForm(((side, x),), self.big.spec.d.identity))
-        return {SIDE_A: self.big_mats.a, SIDE_B: self.big_mats.b}[side][x]
+        form = NormalForm(((side, x),), self.big.spec.d.identity)
+        return evaluate_word(DihedralAmalgamForm(form))
 
     def sub_matrix(self, x: int) -> Mat2:
-        check_form(self.big.spec, NormalForm((), x))
-        return self.big_mats.d[x]
+        return evaluate_word(DihedralAmalgamForm(NormalForm((), x)))
 
 
 @lru_cache(maxsize=1)
@@ -274,12 +281,13 @@ def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
         return _table_product(LETTERS, _reduced_letters(word))
     model = build_dihedral_model()
     if isinstance(word, DihedralAmalgamForm):
-        check_form(model.big.spec, word.form)
-        return model.big_mats.evaluate(word.form)
-    if isinstance(word, NormalForm):
-        check_form(model.big.small, word)
-        return model.small_mats.evaluate(word)
-    raise TypeError(f"cannot evaluate {type(word).__name__}")
+        word, mats = word.form, model.big_mats
+    elif isinstance(word, NormalForm):
+        mats = model.small_mats
+    else:
+        raise TypeError(f"cannot evaluate {type(word).__name__}")
+    check_form(mats.spec, word)
+    return mats.evaluate(word)
 
 
 # A T^q with |q| above this many blocks is one run, folded in O(period)
@@ -289,10 +297,12 @@ def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
 _RUN_CUTOFF = 16
 
 
-def _euclid_runs(m: Mat2, syllable: Callable[[str, int], Syllable]) -> list[tuple[Sequence, int]]:
+def _euclid_runs(
+    m: Mat2, syllables: Mapping[tuple[str, int], Syllable]
+) -> list[tuple[Sequence, int]]:
     """The raw word of a determinant-1 matrix as runs (block, k) for
-    ``reduce_runs``, unchecked, with ``syllable(name, k)`` the syllable of the
-    letter power name^k.
+    ``_fold_runs``, unchecked, with ``syllables[name, k]`` the syllable of the
+    letter power name^k, asked for only with 0 < k < the letter's order.
 
     Euclidean reduction on the first column: while the lower-left entry is
     nonzero, M = T^q * S^-1 * (S * T^-q * M) with q the nearest-integer
@@ -300,9 +310,9 @@ def _euclid_runs(m: Mat2, syllable: Callable[[str, int], Syllable]) -> list[tupl
     many steps.  The terminal +-upper-triangular matrix is a power of
     T = S^-1 U times a central element.
     """
-    # T = S^-1 U, so T^k is k pairs (S^-1, U) and T^-k is k pairs (U^-1, S).
-    s_inv, u1, u_inv, s1, s2 = (syllable(name, k) for name, k in
-                                (("s", -1), ("u", 1), ("u", -1), ("s", 1), ("s", 2)))
+    # T = S^-1 U, so T^k is k pairs (S^3, U) and T^-k is k pairs (U^5, S).
+    s_inv, u1, u_inv, s1, s2 = (syllables[key] for key in
+                                (("s", 3), ("u", 1), ("u", 5), ("s", 1), ("s", 2)))
     t_step, t_inv_step = (s_inv, u1), (u_inv, s1)
     runs: list[tuple[Sequence[Syllable], int]] = []
     flat: list[Syllable] = []
@@ -332,17 +342,17 @@ def _euclid_runs(m: Mat2, syllable: Callable[[str, int], Syllable]) -> list[tupl
     return runs
 
 
-def _decompose(spec: AmalgamSpec, mats: SyllableMatrices, m: Mat2) -> NormalForm:
-    """The normal form over ``spec`` of a determinant +-1 matrix, checked
+def _decompose(mats: SyllableMatrices, m: Mat2) -> NormalForm:
+    """The normal form over ``mats.spec`` of a determinant +-1 matrix, checked
     exactly against the realization ``mats``: for m = m' J^eps, the Euclid
     word of m' then j^eps, each letter power read through ``mats.syllables``,
     reduced once."""
     m1, eps = gl2_split(m)
     syllables = dict(mats.syllables)
-    runs = _euclid_runs(m1, lambda name, k: syllables[name, k % len(LETTERS[name])])
+    runs = _euclid_runs(m1, syllables)
     if eps:
         runs.append(((syllables["j", eps],), 1))
-    form, periods = _fold_runs(spec, runs)
+    form, periods = _fold_runs(mats.spec, runs)
     if mats.evaluate(form, periods) != m:
         raise RuntimeError(f"decomposition of {m} failed its evaluation check")
     return form
@@ -353,7 +363,7 @@ def sl2_decompose(m: Mat2) -> NormalForm:
     if mat_det(m) != 1:
         raise ValueError(f"matrix has determinant {mat_det(m)}, expected 1")
     model = build_dihedral_model()
-    return _decompose(model.big.small, model.small_mats, m)
+    return _decompose(model.small_mats, m)
 
 
 def gl2_split(m: Mat2) -> tuple[Mat2, int]:
@@ -370,7 +380,7 @@ def gl2_decompose(m: Mat2) -> DihedralAmalgamForm:
     """Canonical dihedral-amalgam form of a determinant +-1 matrix, checked
     exactly."""
     model = build_dihedral_model()
-    return DihedralAmalgamForm(_decompose(model.big.spec, model.big_mats, m))
+    return DihedralAmalgamForm(_decompose(model.big_mats, m))
 
 
 def word_to_form(word: Glt2Word) -> DihedralAmalgamForm:
@@ -381,15 +391,15 @@ def word_to_form(word: Glt2Word) -> DihedralAmalgamForm:
     return DihedralAmalgamForm(reduce_word(model.big.spec, syls))
 
 
-def _render(spec: AmalgamSpec, mats: SyllableMatrices, form: NormalForm) -> Glt2Word:
-    """A form over ``spec`` as a letter word: the letter words of its
+def _render(mats: SyllableMatrices, form: NormalForm) -> Glt2Word:
+    """A form over ``mats.spec`` as a letter word: the letter words of its
     syllables in ``mats.words``, joined, with adjacent equal letters folded.
     Table words are folded and their exponents positive, so ``fold_letters``
     would copy every letter before the first pair of adjacent equal letters
     and never pop back past it: only the letters from that pair are folded
     (for a canonical form, at most those of the tail)."""
     words = dict(mats.words)
-    letters = tuple(chain.from_iterable([words[side][x] for side, x in to_word(spec, form)]))
+    letters = tuple(chain.from_iterable([words[s][x] for s, x in to_word(mats.spec, form)]))
     names = "".join(map(itemgetter(0), letters))  # every letter name is one character
     i = min([j for j in map(names.find, [name * 2 for name in LETTERS]) if j >= 0],
             default=len(letters))
@@ -399,11 +409,11 @@ def _render(spec: AmalgamSpec, mats: SyllableMatrices, form: NormalForm) -> Glt2
 def form_to_letters(form: DihedralAmalgamForm) -> Glt2Word:
     """Render a dihedral form as a letter word in s, u and j."""
     model = build_dihedral_model()
-    return _render(model.big.spec, model.big_mats, form.form)
+    return _render(model.big_mats, form.form)
 
 
 def small_form_to_letters(form: NormalForm) -> Glt2Word:
     """Render a plain Z4/Z6/Z2 form as a letter word in s and u: side a's x in
     its word as s^x and side b's as u^x."""
     model = build_dihedral_model()
-    return _render(model.big.small, model.small_mats, form)
+    return _render(model.small_mats, form)

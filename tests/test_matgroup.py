@@ -18,6 +18,7 @@ from amalg import (
     Mat2,
     NormalForm,
     build_dihedral_model,
+    check_form,
     enumerate_forms,
     evaluate_word,
     form_to_letters,
@@ -103,6 +104,12 @@ def test_generator_relations():
     assert mat_det(S) == 1 and mat_det(U) == 1 and mat_det(J) == -1
 
 
+def test_each_realization_carries_the_amalgam_it_realizes(model):
+    assert model.small_mats.spec is model.big.small
+    assert model.big_mats.spec is model.big.spec
+    assert hash(build_dihedral_model()) == hash(model)  # the records stay hashable
+
+
 def test_model_matrix_images(model):
     side_a = {model.side_matrix(SIDE_A, x) for x in model.big.sd_a.flat.elements()}
     side_b = {model.side_matrix(SIDE_B, x) for x in model.big.sd_b.flat.elements()}
@@ -131,6 +138,29 @@ def test_sub_matrix_agrees_with_both_embeddings(model):
         assert model.sub_matrix(x) == model.side_matrix(
             SIDE_B, big.spec.iota_b.image[x]
         )
+
+
+def test_side_and_sub_matrices_are_the_dihedral_realizations_entries(model):
+    mats = model.big_mats
+    assert tuple(model.side_matrix(SIDE_A, x) for x in range(len(mats.a))) == mats.a
+    assert tuple(model.side_matrix(SIDE_B, x) for x in range(len(mats.b))) == mats.b
+    assert tuple(model.sub_matrix(x) for x in range(len(mats.d))) == mats.d
+
+
+def error_of(call, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        call(*args)
+    return str(err.value)
+
+
+def test_side_and_sub_matrices_raise_the_errors_of_check_form(model):
+    spec = model.big.spec
+    for side, x in ((SIDE_A, 99), ("z", 1), (SIDE_A, 1.5)):
+        form = NormalForm(((side, x),), spec.d.identity)
+        assert error_of(model.side_matrix, side, x) == error_of(check_form, spec, form)
+    for tail in (9, "x"):
+        form = NormalForm((), tail)
+        assert error_of(model.sub_matrix, tail) == error_of(check_form, spec, form)
 
 
 def test_sl2_decompose_frozen_examples():
@@ -242,6 +272,18 @@ def test_true_and_false_exponents_pass_as_1_and_0():
     assert word_to_form(word) == word_to_form(Glt2Word((("s", 1), ("j", 1))))
 
 
+@pytest.mark.parametrize("letter, message", [
+    (("s",), "letter ('s',) at position 1 is not a (name, exponent) pair"),
+    ("s", "letter 's' at position 1 is not a (name, exponent) pair"),
+    (("s", 1, 2), "letter ('s', 1, 2) at position 1 is not a (name, exponent) pair"),
+    ((["s"], 1), "unknown letter ['s']"),
+], ids=["one-tuple", "bare-name", "triple", "list-name"])
+def test_a_malformed_letter_gets_a_value_error_naming_it(letter, message):
+    word = Glt2Word((("u", 1), letter, ("q", 1)))
+    for read in (word_to_form, evaluate_word):
+        assert error_of(read, word) == message
+
+
 def divmod_letters(model, form):
     """The rendering of a dihedral form read as flat pairs: each syllable or
     tail x of side a or b is divmod(x, |C|) = (n, c), written s^n or u^n
@@ -279,7 +321,7 @@ def test_render_folds_the_joined_table_words(model, dihedral, canonical, data):
         form = NormalForm(tuple(head), data.draw(st.integers(0, spec.d.order - 1)))
     words = dict(mats.words)
     joined = [letter for side, x in to_word(spec, form) for letter in words[side][x]]
-    assert matgroup._render(spec, mats, form) == Glt2Word(matgroup.fold_letters(joined))
+    assert matgroup._render(mats, form) == Glt2Word(matgroup.fold_letters(joined))
 
 
 def test_each_letter_power_is_read_as_its_flat_pair(model):
@@ -500,7 +542,7 @@ def test_the_run_aware_check_equals_the_flat_product(model, name, seed, edit):
     rng = random.Random(seed)
     if name == "nonabelian":
         spec = make_nonabelian_amalgam()
-        mats = matgroup.SyllableMatrices(*(
+        mats = matgroup.SyllableMatrices(spec, *(
             tuple(evaluate_word(random_letter_word(rng, 3)) for _ in range(g.order))
             for g in (spec.a, spec.b, spec.d)), (), ())
     else:
@@ -600,7 +642,8 @@ def test_unipotents_reduce_as_their_expanded_euclid_words(model):
     # The Euclid word as letter powers with each run written out: the flat
     # word whose reduction the run fold must reproduce.
     def expanded_letters(m):
-        runs = matgroup._euclid_runs(m, lambda name, k: (name, k))
+        keys = [("s", 1), ("s", 2), ("s", 3), ("u", 1), ("u", 5)]
+        runs = matgroup._euclid_runs(m, dict(zip(keys, keys)))
         return [letter for block, k in runs for letter in list(block) * k]
 
     syllables = dict(model.small_mats.syllables)
@@ -612,6 +655,33 @@ def test_unipotents_reduce_as_their_expanded_euclid_words(model):
             assert gl2_decompose(m) == word_to_form(Glt2Word(tuple(letters)))
             with_j = Glt2Word(tuple(letters) + (("j", 1),))
             assert gl2_decompose(mat_mul(m, J)) == word_to_form(with_j)
+
+
+class KeyLog(dict):
+    """A dict that records every key read with ``[]``."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.asked = set()
+
+    def __getitem__(self, key):
+        self.asked.add(key)
+        return super().__getitem__(key)
+
+
+def test_the_euclid_word_asks_only_for_one_letter_powers_the_table_holds(model):
+    rng = random.Random(27)
+    seeded = [gl2_split(evaluate_word(random_letter_word(rng, 40)))[0] for _ in range(200)]
+    unipotents = [m for n in range(-300, 301) for m in (Mat2(1, n, 0, 1), Mat2(1, 0, n, 1))]
+    for mats in (model.small_mats, model.big_mats):
+        syllables = KeyLog(mats.syllables)
+        for m in unipotents + seeded:
+            matgroup._euclid_runs(m, syllables)
+        assert syllables.asked
+        words = {word for _, ws in mats.words for word in ws}
+        for name, k in syllables.asked:
+            assert ((name, k),) in words
+            assert 1 <= k < len(matgroup.LETTERS[name])
 
 
 @pytest.mark.parametrize("what", ["syllable", "tail"])

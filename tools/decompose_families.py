@@ -12,24 +12,24 @@ best sums.  The table gives, per family and in total, the op count and each
 side's best over its rounds, in ms per pass, for decompose and for render,
 with the change's ratio to the parent.
 
-A bytecode cache under either checkout's ``src/`` or ``perfbench/`` stops the
-tool with exit status 1 and one line naming every one; the tool deletes
-nothing, and its children run with ``PYTHONDONTWRITEBYTECODE=1`` so that they
-leave no cache behind.  A child that exits non-zero stops the tool with exit
-status 1 and one line naming its checkout, exit code and last line of stderr.
-Standard library only.
+Bytecode caches and children follow ``perf_pairs.py``'s policy, imported from
+it: a cache under either checkout's ``src/`` or ``perfbench/`` stops the tool
+before any child, the children write no cache, and a child that exits non-zero
+stops the tool with one line naming its checkout, exit code and last line of
+stderr.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # also when a test loads this file
+from perf_pairs import _child, refuse_bytecode_caches  # noqa: E402
 
 # The two timed calls of a decompose op, in table order.
 CALLS = ("decompose", "render")
@@ -66,26 +66,11 @@ def family_times(seed: int, repeats: int, small: bool = False) -> dict[str, list
     return best
 
 
-def refuse_bytecode_caches(parent: Path, change: Path) -> None:
-    """Exit with status 1 and one line naming every ``__pycache__`` under
-    either checkout's ``src/`` or ``perfbench/``; delete nothing."""
-    caches = [cache for checkout in (parent, change) for top in ("src", "perfbench")
-              for cache in sorted(checkout.glob(f"{top}/**/__pycache__"))]
-    if caches:
-        sys.exit(f"decompose_families: remove these bytecode caches first: "
-                 f"{', '.join(map(str, caches))}")
-
-
 def run_child(checkout: Path, seed: int, repeats: int) -> dict[str, list[float]]:
     """``family_times`` in a fresh interpreter importing ``checkout``'s code."""
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child", str(checkout),
-         "--seed", str(seed), "--repeats", str(repeats)],
-        cwd=checkout, capture_output=True, text=True,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    if proc.returncode:
-        last = (proc.stderr.strip().splitlines() or ["(no stderr)"])[-1]
-        sys.exit(f"decompose_families: child in {checkout} exited {proc.returncode}: {last}")
+    proc = _child(checkout, [str(Path(__file__).resolve()), "--child", str(checkout),
+                             "--seed", str(seed), "--repeats", str(repeats)],
+                  f"child in {checkout}")
     return json.loads(proc.stdout)
 
 

@@ -28,7 +28,9 @@ nothing, and its children run with ``PYTHONDONTWRITEBYTECODE=1`` so that
 they leave no cache behind.  A run or set-up child that exits non-zero
 stops the tool with exit status 1 and one line naming its checkout, exit
 code and last line of stderr (and a run's seed); so does a run whose last
-stdout line is not a JSON result, with that line.  Standard library only.
+stdout line is not a JSON result, with that line.  Each such line begins with
+the name of the tool that ran, so that ``decompose_families.py``, which shares
+this child policy, names itself.  Standard library only.
 """
 
 from __future__ import annotations
@@ -46,14 +48,19 @@ from pathlib import Path
 SETUP_CHILDREN = 20
 
 
+def _exit(line: str) -> None:
+    """Exit with status 1 and ``line``, prefixed with the running tool's name."""
+    sys.exit(f"{Path(sys.argv[0]).stem}: {line}")
+
+
 def _child(checkout: Path, args: list[str], what: str) -> subprocess.CompletedProcess:
-    """Run ``python3 ARGS`` in ``checkout``; if it exits non-zero, exit this
-    tool with status 1 and one line naming ``what``."""
+    """Run ``python3 ARGS`` in ``checkout`` without writing bytecode; if it
+    exits non-zero, exit this tool with status 1 and one line naming ``what``."""
     proc = subprocess.run([sys.executable, *args], cwd=checkout, capture_output=True, text=True,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode:
         last = (proc.stderr.strip().splitlines() or ["(no stderr)"])[-1]
-        sys.exit(f"perf_pairs: {what} exited {proc.returncode}: {last}")
+        _exit(f"{what} exited {proc.returncode}: {last}")
     return proc
 
 
@@ -68,8 +75,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
     try:
         return {name: m["value"] for name, m in json.loads(last)["metrics"].items()}
     except (ValueError, TypeError, KeyError, AttributeError):
-        sys.exit(f"perf_pairs: run in {checkout} with seed {seed} exited 0"
-                 f" without a JSON result: {last}")
+        _exit(f"run in {checkout} with seed {seed} exited 0 without a JSON result: {last}")
 
 
 def refuse_bytecode_caches(parent: Path, change: Path) -> None:
@@ -78,11 +84,11 @@ def refuse_bytecode_caches(parent: Path, change: Path) -> None:
     caches = [cache for checkout in (parent, change) for top in ("src", "perfbench")
               for cache in sorted(checkout.glob(f"{top}/**/__pycache__"))]
     if len(caches) == 1:
-        sys.exit(f"perf_pairs: bytecode cache {caches[0]} would let its checkout's"
-                 " set-up skip compiling; remove it and run again")
+        _exit(f"bytecode cache {caches[0]} would let its checkout's set-up skip compiling;"
+              " remove it and run again")
     if caches:
-        sys.exit(f"perf_pairs: bytecode caches {', '.join(map(str, caches))} would let"
-                 " their checkouts' set-up skip compiling; remove them and run again")
+        _exit(f"bytecode caches {', '.join(map(str, caches))} would let their checkouts'"
+              " set-up skip compiling; remove them and run again")
 
 
 def setup_cpu(parent: Path, change: Path, workload: str) -> str:
