@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, NamedTuple, Sequence
 
-from .groups import FiniteGroup, GroupHom, is_injective, make_hom
+from .groups import FiniteGroup, GroupHom, check_group_axioms, is_injective, make_hom
 
 __all__ = [
     "SIDE_A",
@@ -129,8 +129,27 @@ def make_amalgam(
 ) -> AmalgamSpec:
     """Assemble the amalgam data for A *_D B from two embeddings of D.
 
-    Each embedding is checked once, here, as an injective homomorphism from
-    D into its side.  The coset data is correct by construction.
+    The three groups are read from a caller, so ``check_group_axioms`` checks
+    each, A then B then D; a ValueError names the first that fails, with its
+    first failed axiom and witness.  Then ``_amalgam`` builds the rest.
+    """
+    for g in (a, b, d):
+        failed = check_group_axioms(g).first_failure()
+        if failed is not None:
+            raise ValueError(f"group {g.label} violates {failed.check}: {failed.witness}")
+    return _amalgam(a, b, d, iota_a, iota_b)
+
+
+def _amalgam(
+    a: FiniteGroup,
+    b: FiniteGroup,
+    d: FiniteGroup,
+    iota_a: GroupHom,
+    iota_b: GroupHom,
+) -> AmalgamSpec:
+    """``make_amalgam``'s core, for groups known to be groups.  Each
+    embedding is checked once, here, as an injective homomorphism from D into
+    its side.  The coset data is correct by construction.
     """
     for name, hom, src, tgt in (
         ("iota_a", iota_a, d, a),
@@ -248,7 +267,10 @@ def check_form(spec: AmalgamSpec, form: NormalForm) -> None:
     ValueError for its first bad syllable, else one for a tail that is not an
     int in range.  True and False hash and compare equal to 1 and 0, so they
     pass as those, as an element or as a tail.  A head the set test rejects
-    or cannot hash, such as one with a list pair, is read by ``reduce_word``."""
+    or cannot hash, such as one with a list pair, is read by ``reduce_word``.
+    Public functions call it once on what their caller passed; a form the
+    library made goes to a private core (``_word``, ``_mul``, the iso maps'
+    cores) unchecked."""
     try:
         known = spec.syllables.issuperset(form.head)
     except TypeError:
@@ -261,34 +283,46 @@ def check_form(spec: AmalgamSpec, form: NormalForm) -> None:
         )
 
 
-def to_word(spec: AmalgamSpec, form: NormalForm) -> tuple[Syllable, ...]:
-    """A normal form, checked by ``check_form``, as a raw word: its head,
-    then its tail as a side-a syllable unless the tail is the identity.  This
-    is the only place that writes a tail as a syllable."""
-    check_form(spec, form)
+def _word(spec: AmalgamSpec, form: NormalForm) -> tuple[Syllable, ...]:
+    """``to_word``'s core, for a form the library made: its head, then its
+    tail as a side-a syllable unless the tail is the identity.  This is the
+    only place that writes a tail as a syllable."""
     if form.tail == spec.d.identity:
         return form.head
     return form.head + ((SIDE_A, spec.iota_a.image[form.tail]),)
+
+
+def to_word(spec: AmalgamSpec, form: NormalForm) -> tuple[Syllable, ...]:
+    """A normal form read from a caller, checked by ``check_form``, as a raw
+    word (``_word``)."""
+    check_form(spec, form)
+    return _word(spec, form)
 
 
 def syllable_count(spec: AmalgamSpec, form: NormalForm) -> int:
     return len(to_word(spec, form))
 
 
-def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
-    """Product of two normal forms: fold v's head onto u, then multiply the
-    tails, in time O(|u| + |v|).  ``check_form`` checks u and v's tail, and
-    ``_append`` checks v's head as it folds it; a head-less v only multiplies
-    the tails."""
-    check_form(spec, u)
+def _mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
+    """``word_mul``'s core, for forms the library made: fold v's head onto
+    u, then multiply the tails, in time O(|u| + |v|); a head-less v only
+    multiplies the tails."""
     d_mul = spec.d.mul
-    if not (isinstance(v.tail, int) and 0 <= v.tail < len(d_mul)):
-        check_form(spec, v)  # raises the error for v's tail
     if v.head == ():
         return NormalForm(tuple(u.head), d_mul[u.tail][v.tail])
     stack = list(u.head)
     d = _append(spec, stack, u.tail, v.head)
     return NormalForm(tuple(stack), d_mul[d][v.tail])
+
+
+def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
+    """Product of two normal forms read from a caller (``_mul``).
+    ``check_form`` checks u and v's tail, and ``_append`` checks v's head as
+    it folds it."""
+    check_form(spec, u)
+    if not (isinstance(v.tail, int) and 0 <= v.tail < len(spec.d.mul)):
+        check_form(spec, v)  # raises the error for v's tail
+    return _mul(spec, u, v)
 
 
 def word_inv(spec: AmalgamSpec, u: NormalForm) -> NormalForm:

@@ -18,6 +18,14 @@ and the Cayley edges of verify_split.
   phi  (w, c) -> nu(w) * tau(c), with inverse phi_inv (Psi), which reads each
        syllable (n, c) as the pair ((n), c) and multiplies the pairs out.
 
+Each public map checks the form its caller passed, once, with
+``check_form`` (``tau`` checks an actor element), and then calls its private
+core, ``_nu``, ``_mu``, ``_phi`` or ``_phi_inv``, which checks nothing.  The
+verifiers read only values the library made (enumerated forms, seeded draws,
+phi tables and Cayley-edge products), so they call the cores, ``_mul`` for
+``word_mul`` and ``_times`` for SmallSemidirect.mul.  ``_phi`` reads tau(c)
+through ``tau``, so phi's records test the section that ``tau`` gives.
+
 verify_exact_sequence checks image nu = kernel mu at a head-length bound,
 and verify_split checks the section and hom laws plus both round trips.  Its
 hom law on single-syllable pairs is proved on the pairs (e, x) and on the
@@ -37,16 +45,17 @@ from .amalgam import (
     AmalgamSpec,
     NormalForm,
     Syllable,
+    _amalgam,
     _append,
+    _mul,
+    _word,
     check_form,
     enumerate_forms,
     identity_form,
-    make_amalgam,
     random_form,
     reduce_word,
     to_word,
     word_inv,
-    word_mul,
 )
 from .groups import FiniteGroup, GroupAction, GroupHom
 from .products import SemidirectGroup, semidirect, split_maps
@@ -139,8 +148,9 @@ def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmal
     """Build (A x| C) *_(D x| C) (B x| C) with the lifted embeddings.
 
     The actions are checked for compatibility first.  The lifts
-    (d, c) -> (iota(d), c) are then checked once, by ``make_amalgam``, as
-    injective homomorphisms of the flat semidirect tables.
+    (d, c) -> (iota(d), c) are then checked once, by ``make_amalgam``'s core
+    ``_amalgam``, as injective homomorphisms of the flat semidirect tables,
+    which ``semidirect`` has checked as groups.
     """
     _require_compatible(spec, acts)
     c_group = acts.actor
@@ -153,7 +163,7 @@ def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmal
         ))
         for sd, iota in ((sd_a, spec.iota_a), (sd_b, spec.iota_b))
     )
-    big_spec = make_amalgam(sd_a.flat, sd_b.flat, sd_d.flat, lift_a, lift_b)
+    big_spec = _amalgam(sd_a.flat, sd_b.flat, sd_d.flat, lift_a, lift_b)
     base_a, base_b = (split_maps(sd)[0].image for sd in (sd_a, sd_b))
     taus = tuple([NormalForm((), x) for x in split_maps(sd_d)[2].image])
     return BigAmalgam(spec, acts, sd_a, sd_b, sd_d, big_spec, base_a, base_b, taus)
@@ -187,15 +197,28 @@ class SmallSemidirect:
 
 
 def nu(big: BigAmalgam, form: NormalForm) -> NormalForm:
-    """Embed a plain normal form: each syllable gains a trivial C-component,
-    read from the base embedding of its side."""
+    """Embed a plain normal form read from a caller, checked by ``check_form``
+    (``_nu``)."""
+    check_form(big.small, form)
+    return _nu(big, form)
+
+
+def _nu(big: BigAmalgam, form: NormalForm) -> NormalForm:
+    """``nu``'s core: each syllable gains a trivial C-component, read from the
+    base embedding of its side."""
     base = {SIDE_A: big.base_a, SIDE_B: big.base_b}
-    return reduce_word(big.spec, [(s, base[s][t]) for s, t in to_word(big.small, form)])
+    return reduce_word(big.spec, [(s, base[s][t]) for s, t in _word(big.small, form)])
 
 
 def mu(big: BigAmalgam, form: NormalForm) -> int:
-    """Project onto C: multiply the C-components in word order."""
+    """Project a big normal form read from a caller, checked by
+    ``check_form``, onto C (``_mu``)."""
     check_form(big.spec, form)
+    return _mu(big, form)
+
+
+def _mu(big: BigAmalgam, form: NormalForm) -> int:
+    """``mu``'s core: multiply the C-components in word order."""
     c_group = big.actor
     q = c_group.order
     acc = c_group.identity
@@ -216,8 +239,15 @@ def tau(big: BigAmalgam, c: int) -> NormalForm:
 
 
 def phi(big: BigAmalgam, form: NormalForm, c: int) -> NormalForm:
-    """The distribution isomorphism: (w, c) -> nu(w) * tau(c)."""
-    return word_mul(big.spec, nu(big, form), tau(big, c))
+    """The distribution isomorphism (``_phi``) of a pair read from a caller:
+    ``check_form`` checks the form, and ``tau`` the actor element."""
+    check_form(big.small, form)
+    return _phi(big, form, c)
+
+
+def _phi(big: BigAmalgam, form: NormalForm, c: int) -> NormalForm:
+    """``phi``'s core: (w, c) -> nu(w) * tau(c)."""
+    return _mul(big.spec, _nu(big, form), tau(big, c))
 
 
 def _times(
@@ -226,7 +256,7 @@ def _times(
     """The product in (A *_D B) x| C of x = (form, c) and the pairs (raw word,
     c), left to right: the C-part gathered so far acts on each later syllable
     through the side actions, and the acted syllables fold onto a copy of x's
-    stack, as in ``word_mul``.  The form is read only as a pair (head, tail),
+    stack, as in ``_mul``.  The form is read only as a pair (head, tail),
     so a plain tuple will do.  Callers check x and the actor elements."""
     act_a, act_b, _ = big.acts
     act = {SIDE_A: act_a.table, SIDE_B: act_b.table}
@@ -243,12 +273,19 @@ def _times(
 
 
 def phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
-    """Psi, the inverse of phi: ``_times`` of the identity and the pairs
-    ((n), c), one for each syllable (n, c) of ``to_word(g)``.  The tail
-    (d, c) is its syllable (iota_a(d), c), which compatibility acts on as on
-    d.  It reads only the actions, never ``tau``, and folds once."""
+    """Psi, the inverse of phi, of a big normal form read from a caller,
+    checked by ``check_form`` (``_phi_inv``)."""
+    check_form(big.spec, g)
+    return _phi_inv(big, g)
+
+
+def _phi_inv(big: BigAmalgam, g: NormalForm) -> tuple[NormalForm, int]:
+    """``phi_inv``'s core: ``_times`` of the identity and the pairs ((n), c),
+    one for each syllable (n, c) of g's word.  The tail (d, c) is its
+    syllable (iota_a(d), c), which compatibility acts on as on d.  It reads
+    only the actions, never ``tau``, and folds once."""
     q, e = big.actor.order, (((), big.small.d.identity), big.actor.identity)
-    return _times(big, e, [(((s, x // q),), x % q) for s, x in to_word(big.spec, g)])
+    return _times(big, e, [(((s, x // q),), x % q) for s, x in _word(big.spec, g)])
 
 
 def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:
@@ -257,10 +294,10 @@ def verify_exact_sequence(big: BigAmalgam, bound: int) -> Report:
     if it is negative)."""
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
-    images = [nu(big, w) for w in enumerate_forms(big.small, bound)]
+    images = [_nu(big, w) for w in enumerate_forms(big.small, bound)]
     image = set(images)
     big_forms = enumerate_forms(big.spec, bound)
-    mus = [mu(big, g) for g in big_forms]
+    mus = [_mu(big, g) for g in big_forms]
     missing = sorted(set(big.actor.elements()) - set(mus))
     # Ordered like the enumeration, so the witness does not follow str hashing.
     kernel = dict.fromkeys(g for g, c in zip(big_forms, mus) if c == big.actor.identity)
@@ -300,13 +337,15 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
 
     Samples are drawn only as a check reads them, and a check stops at its
     first counterexample, so a later check's draws start where it stopped.
-    Negative ``samples`` raise ValueError.
+    Negative ``samples`` raise ValueError.  The records compare the cores
+    ``_nu``, ``_mu``, ``_phi``, ``_phi_inv`` and ``_mul``, which the public
+    maps return after their check, on values the library made, so no form is
+    checked here.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     spec, c_group = big.spec, big.actor
     cs = c_group.elements()
-    sd = SmallSemidirect(big)
     rng = random.Random(seed)
 
     def drawn(draw: Callable[[], Any]) -> Iterator[Any]:
@@ -318,14 +357,17 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
     def pair() -> tuple[NormalForm, int]:
         return small(), rng.randrange(c_group.order)
 
+    def times(x: tuple[NormalForm, int], y: tuple[NormalForm, int]) -> tuple[NormalForm, int]:
+        return _times(big, x, [(_word(big.small, y[0]), y[1])])
+
     # The hom law on all pairs of shorts.  One table lives for this call only:
     # phi of each short and of each new product.
     def phi_hom_shorts() -> Iterator[str]:
         shorts = [(w, c) for w in enumerate_forms(big.small, 1) for c in cs]
-        phis = {x: phi(big, *x) for x in shorts}
-        e = sd.identity()
+        phis = {x: _phi(big, *x) for x in shorts}
+        e = identity_form(big.small), c_group.identity
         for x in shorts:
-            if word_mul(spec, phis[e], phis[x]) != phis[x]:
+            if _mul(spec, phis[e], phis[x]) != phis[x]:
                 yield f"x = {e}, y = {x}"
         for start, side, flat in ((SIDE_A, SIDE_B, big.sd_b.flat), (SIDE_B, SIDE_A, big.sd_a.flat)):
             gens = [(reduce_word(big.small, [(side, n)]), c) for n, c in (
@@ -334,36 +376,36 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
             seen = set(closure)
             for z in closure:  # grows by each new product
                 for s in gens:
-                    zs = sd.mul(z, s)
+                    zs = times(z, s)
                     if zs not in phis:
-                        phis[zs] = phi(big, *zs)
-                    if phis[zs] != word_mul(spec, phis[z], phis[s]):
+                        phis[zs] = _phi(big, *zs)
+                    if phis[zs] != _mul(spec, phis[z], phis[s]):
                         yield f"x = {z}, y = {s}"
                     if zs not in seen:
                         seen.add(zs)
                         closure.append(zs)
 
     checks = (
-        ("mu-tau-identity", (f"c = {c}" for c in cs if mu(big, tau(big, c)) != c)),
+        ("mu-tau-identity", (f"c = {c}" for c in cs if _mu(big, tau(big, c)) != c)),
         ("tau-homomorphism", (
             f"(c1, c2) = ({c1}, {c2})" for c1 in cs for c2 in cs
-            if word_mul(spec, tau(big, c1), tau(big, c2)) != tau(big, c_group.mul[c1][c2])
+            if _mul(spec, tau(big, c1), tau(big, c2)) != tau(big, c_group.mul[c1][c2])
         )),
         ("phi-hom-single-syllable", phi_hom_shorts()),
         ("phi-homomorphism", (
             f"x = {x}, y = {y}" for x, y in drawn(lambda: (pair(), pair()))
-            if phi(big, *sd.mul(x, y)) != word_mul(spec, phi(big, *x), phi(big, *y))
+            if _phi(big, *times(x, y)) != _mul(spec, _phi(big, *x), _phi(big, *y))
         )),
         ("phi-inv-after-phi", (
-            f"x = {x}" for x in drawn(pair) if phi_inv(big, phi(big, *x)) != x
+            f"x = {x}" for x in drawn(pair) if _phi_inv(big, _phi(big, *x)) != x
         )),
         ("phi-after-phi-inv", (
             f"g = {g}" for g in drawn(lambda: random_form(rng, spec, 6))
-            if phi(big, *phi_inv(big, g)) != g
+            if _phi(big, *_phi_inv(big, g)) != g
         )),
         ("nu-homomorphism", (
             f"u = {u}, v = {v}" for u, v in drawn(lambda: (small(), small()))
-            if nu(big, word_mul(big.small, u, v)) != word_mul(spec, nu(big, u), nu(big, v))
+            if _nu(big, _mul(big.small, u, v)) != _mul(spec, _nu(big, u), _nu(big, v))
         )),
     )
     return Report(tuple(first_witness(check, spec.label, w) for check, w in checks))

@@ -161,11 +161,18 @@ class Glt2Word(NamedTuple):
 
 def _reduced_letters(word: Glt2Word) -> list[tuple[str, int]]:
     """The letters (name, k) of ``word`` as (name, k mod the letter's order).
-    A ValueError names the first letter that is not a pair, or the first
-    unknown letter, or the first exponent that is not an int with its letter
-    and position; True and False pass as 1 and 0."""
+    A ValueError names letters that cannot be iterated, or the first letter
+    that is not a pair, or the first unknown letter, or the first exponent
+    that is not an int with its letter and position; True and False pass as
+    1 and 0."""
+    try:
+        given = iter(word.letters)
+    except TypeError:
+        raise ValueError(
+            f"letters {word.letters!r} are not a sequence of (name, exponent) pairs"
+        ) from None
     letters = []
-    for i, letter in enumerate(word.letters):
+    for i, letter in enumerate(given):
         try:
             name, k = letter
         except (TypeError, ValueError):

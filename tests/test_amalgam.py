@@ -9,6 +9,8 @@ from amalg import (
     SIDE_A,
     SIDE_B,
     AmalgamSpec,
+    FiniteGroup,
+    GroupHom,
     NormalForm,
     enumerate_forms,
     hom_from_generators,
@@ -129,6 +131,21 @@ def test_make_amalgam_rejects_mismatched_embedding_groups():
     iota = make_hom(z2, z6, (0, 3))
     with pytest.raises(ValueError, match="must map"):
         make_amalgam(z4, z6, z2, iota, iota)
+
+
+BAD2 = FiniteGroup("Bad2", ((0, 1), (1, 1)), 0, (0, 1), (1,))  # associative; 1 has no inverse
+
+
+@pytest.mark.parametrize("a, b, d", [
+    (BAD2, make_cyclic(2), make_cyclic(1)),
+    (make_cyclic(2), BAD2, make_cyclic(1)),
+    (make_cyclic(2), make_cyclic(2), BAD2),
+], ids=["a", "b", "d"])
+def test_make_amalgam_rejects_a_group_that_fails_an_axiom(a, b, d):
+    with pytest.raises(ValueError) as err:
+        make_amalgam(a, b, d, GroupHom(d, a, tuple(d.elements())),
+                     GroupHom(d, b, tuple(d.elements())))
+    assert str(err.value) == "group Bad2 violates inverses: x = 1, claimed inverse 1"
 
 
 def test_reduce_empty_word_is_identity(small_spec):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amalg.amalgam as amalgam
 import amalg.iso as iso
 from amalg import (
     SIDE_A,
@@ -182,7 +183,7 @@ def test_phi_inv_reads_only_the_actions(big, monkeypatch):
         raise AssertionError("phi_inv reads only the actions")
 
     forms = enumerate_forms(big.spec, 3)
-    for name in ("mu", "tau", "word_mul", "word_inv"):
+    for name in ("_mu", "tau", "_mul", "word_inv"):
         monkeypatch.setattr(iso, name, forbidden)
     pairs = [phi_inv(big, g) for g in forms]
     monkeypatch.undo()
@@ -396,7 +397,7 @@ def test_verify_exact_sequence_rejects_a_negative_bound(big):
 
 def test_single_syllable_hom_check_evaluates_phi_once_per_short(big, monkeypatch):
     calls, acts = [], []
-    phi, act = iso.phi, iso.BigAmalgam.act
+    phi, act = iso._phi, iso.BigAmalgam.act
 
     def counting_phi(b, form, c):
         calls.append((form, c))
@@ -406,7 +407,7 @@ def test_single_syllable_hom_check_evaluates_phi_once_per_short(big, monkeypatch
         acts.append((c, form))
         return act(b, c, form)
 
-    monkeypatch.setattr(iso, "phi", counting_phi)
+    monkeypatch.setattr(iso, "_phi", counting_phi)
     monkeypatch.setattr(iso.BigAmalgam, "act", counting_act)
     # 16 shorts on the flagship: phi of each once, then of each of the 16
     # other elements of the two closures (the 32 distinct products of the 256
@@ -429,20 +430,37 @@ def z40_over_z2_inverted():
 def test_single_syllable_hom_proof_counts_its_products(big, monkeypatch, instance, calls):
     b = big if instance == "flagship" else z40_over_z2_inverted()
     counted = []
-    word_mul = iso.word_mul
+    mul = iso._mul
 
-    def counting_word_mul(spec, u, v):
+    def counting_mul(spec, u, v):
         if spec is b.spec:
             counted.append((u, v))
-        return word_mul(spec, u, v)
+        return mul(spec, u, v)
 
-    monkeypatch.setattr(iso, "word_mul", counting_word_mul)
+    monkeypatch.setattr(iso, "_mul", counting_mul)
     # 4 for tau-homomorphism, one per phi (16 + 16 on the flagship, 88 + 304
     # on Z40 *[Z2] Z6), one per pair (e, x) (16, 88) and one per Cayley edge:
     # two generators of each factor product times 24 (240) elements of each
     # closure.  A pairwise scan alone would make 2|S|^2 of them.
     assert verify_split(b, 0, 0).ok
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("instance", ["flagship", "Z40 *[Z2] Z6"])
+def test_the_verifiers_never_check_a_form_the_library_made(big, monkeypatch, instance):
+    b = big if instance == "flagship" else z40_over_z2_inverted()
+    calls = []
+    check_form = amalgam.check_form
+
+    def counting_check_form(spec, form):
+        calls.append(form)
+        return check_form(spec, form)
+
+    for module in (amalgam, iso):
+        monkeypatch.setattr(module, "check_form", counting_check_form)
+    assert verify_exact_sequence(b, 3).ok
+    assert verify_split(b, 60, 7).ok
+    assert calls == []
 
 
 def _census_instances(monkeypatch):
@@ -501,13 +519,13 @@ def test_edge_proof_agrees_with_the_pair_scan_on_a_wrong_phi(
     shorts = [(w, c) for w in enumerate_forms(b.small, 1) for c in b.actor.elements()]
     wrong_ats = list(dict.fromkeys(sd.mul(x, y) for x in shorts for y in shorts))
     assert len(wrong_ats) == products
-    phi = iso.phi
+    phi = iso._phi
     for wrong_at in wrong_ats:
         def phi_wrong_at_one_element(b, w, c, wrong_at=wrong_at):
             g = phi(b, w, c)
             return word_mul(b.spec, g, tau(b, 1)) if (w, c) == wrong_at else g
 
-        monkeypatch.setattr(iso, "phi", phi_wrong_at_one_element)
+        monkeypatch.setattr(iso, "_phi", phi_wrong_at_one_element)
         report = verify_split(b, 0, 0)
         assert report.records[2].check == "phi-hom-single-syllable"
         assert not report.records[2].ok, wrong_at

@@ -284,6 +284,13 @@ def test_a_malformed_letter_gets_a_value_error_naming_it(letter, message):
         assert error_of(read, word) == message
 
 
+@pytest.mark.parametrize("letters", [5, None])
+def test_letters_that_cannot_be_iterated_get_a_value_error_naming_them(letters):
+    message = f"letters {letters!r} are not a sequence of (name, exponent) pairs"
+    for read in (word_to_form, evaluate_word):
+        assert error_of(read, Glt2Word(letters)) == message
+
+
 def divmod_letters(model, form):
     """The rendering of a dihedral form read as flat pairs: each syllable or
     tail x of side a or b is divmod(x, |C|) = (n, c), written s^n or u^n

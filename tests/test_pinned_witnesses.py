@@ -64,13 +64,13 @@ def test_split_records_with_a_twisted_section(big, monkeypatch):
 
 
 def test_split_records_with_nu_broken_on_long_forms(big, monkeypatch):
-    nu, tau = iso.nu, iso.tau
+    nu, tau = iso._nu, iso.tau
 
     def long_broken_nu(b, w):
         g = nu(b, w)
         return word_mul(b.spec, g, tau(b, 1)) if len(w.head) >= 5 else g
 
-    monkeypatch.setattr(iso, "nu", long_broken_nu)
+    monkeypatch.setattr(iso, "_nu", long_broken_nu)
     assert triples(verify_split(big, 40, 5)) == [
         ("mu-tau-identity", True, None),
         ("tau-homomorphism", True, None),
@@ -111,7 +111,7 @@ def test_split_records_with_phi_wrong_on_one_product(big, monkeypatch):
     # single-syllable check must find it at the first Cayley edge whose
     # product it is: a table keyed without the actor element would miss or
     # misplace it.
-    phi, tau = iso.phi, iso.tau
+    phi, tau = iso._phi, iso.tau
     wrong_at = (NormalForm((("a", 1), ("b", 1)), 0), 1)
 
     def phi_wrong_on_one_product(b, w, c):
@@ -148,7 +148,7 @@ def test_split_records_with_phi_wrong_on_one_product(big, monkeypatch):
     # Unpatched first: no table may outlive the call and leak into the next.
     for b in bigs:
         assert verify_split(b, 20, 3).ok
-    monkeypatch.setattr(iso, "phi", phi_wrong_on_one_product)
+    monkeypatch.setattr(iso, "_phi", phi_wrong_on_one_product)
     for b in bigs:
         assert triples(verify_split(b, 20, 3)) == expected[b.small.label]
 
@@ -157,7 +157,7 @@ def test_split_records_with_phi_not_a_normal_form_at_one_short(big, monkeypatch)
     # At one short phi names the right element, but an identity b syllable
     # trails its head, so it is not a normal form.  The pairs (e, x) come
     # before the Cayley edges, so the witness is e and that short.
-    phi = iso.phi
+    phi = iso._phi
     short = (NormalForm((("a", 1),), 0), 0)
     g = phi(big, *short)
     padded = NormalForm(g.head + (("b", big.spec.b.identity),), g.tail)
@@ -166,7 +166,7 @@ def test_split_records_with_phi_not_a_normal_form_at_one_short(big, monkeypatch)
     def phi_not_normal_at_one_short(b, w, c):
         return padded if (w, c) == short else phi(b, w, c)
 
-    monkeypatch.setattr(iso, "phi", phi_not_normal_at_one_short)
+    monkeypatch.setattr(iso, "_phi", phi_not_normal_at_one_short)
     assert triples(verify_split(big, 0, 0)) == [
         ("mu-tau-identity", True, None),
         ("tau-homomorphism", True, None),
@@ -180,10 +180,10 @@ def test_split_records_with_phi_not_a_normal_form_at_one_short(big, monkeypatch)
 
 
 def test_exact_sequence_records_with_a_colliding_nu(big, monkeypatch):
-    nu = iso.nu
+    nu = iso._nu
     x, y = enumerate_forms(big.small, 2)[3:5]
     assert (x, y) == (NormalForm((("a", 1),), 1), NormalForm((("b", 1),), 0))
-    monkeypatch.setattr(iso, "nu", lambda b, w: nu(b, y if w == x else w))
+    monkeypatch.setattr(iso, "_nu", lambda b, w: nu(b, y if w == x else w))
     assert triples(verify_exact_sequence(big, 2)) == [
         ("nu-injective", False, "nu collides within the bound"),
         ("mu-surjective", True, None),
@@ -193,9 +193,9 @@ def test_exact_sequence_records_with_a_colliding_nu(big, monkeypatch):
 
 
 def test_exact_sequence_records_with_mu_wrong_on_one_form(big, monkeypatch):
-    mu = iso.mu
+    mu = iso._mu
     stray = NormalForm((), 1)
-    monkeypatch.setattr(iso, "mu", lambda b, g: 0 if g == stray else mu(b, g))
+    monkeypatch.setattr(iso, "_mu", lambda b, g: 0 if g == stray else mu(b, g))
     assert triples(verify_exact_sequence(big, 1)) == [
         ("nu-injective", True, None),
         ("mu-surjective", True, None),
@@ -211,8 +211,8 @@ def test_exact_sequence_records_with_mu_missing_an_actor_element(small_spec, mon
         trivial_action(z3, small_spec.b),
         trivial_action(z3, small_spec.d),
     ))
-    mu = iso.mu
-    monkeypatch.setattr(iso, "mu", lambda b, g: 1 if mu(b, g) == 2 else mu(b, g))
+    mu = iso._mu
+    monkeypatch.setattr(iso, "_mu", lambda b, g: 1 if mu(b, g) == 2 else mu(b, g))
     assert triples(verify_exact_sequence(big3, 2)) == [
         ("nu-injective", True, None),
         ("mu-surjective", False, "missing actor elements [2]"),
@@ -312,7 +312,7 @@ def test_functor_records_when_each_lift_is_followed_by_inversion(monkeypatch):
 MU_ZERO_SCRIPT = """\
 import amalg.iso as iso
 from amalg import build_dihedral_model, verify_exact_sequence
-iso.mu = lambda b, g: 0
+iso._mu = lambda b, g: 0
 print(verify_exact_sequence(build_dihedral_model().big, 2).records[-1].witness)
 """
 
