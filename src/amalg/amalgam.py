@@ -325,10 +325,18 @@ def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
     return _mul(spec, u, v)
 
 
-def word_inv(spec: AmalgamSpec, u: NormalForm) -> NormalForm:
-    """Inverse: reverse the embedded word and invert each syllable."""
+def _inverse_word(spec: AmalgamSpec, u: NormalForm) -> list[Syllable]:
+    """``word_inv``'s core, for a form the library made: the raw word of u's
+    inverse, u's word reversed with each syllable inverted."""
     inv = {SIDE_A: spec.a.inv, SIDE_B: spec.b.inv}
-    return reduce_word(spec, [(s, inv[s][x]) for s, x in reversed(to_word(spec, u))])
+    return [(s, inv[s][x]) for s, x in reversed(_word(spec, u))]
+
+
+def word_inv(spec: AmalgamSpec, u: NormalForm) -> NormalForm:
+    """Inverse of a normal form read from a caller, checked by
+    ``check_form``: its ``_inverse_word``, reduced."""
+    check_form(spec, u)
+    return reduce_word(spec, _inverse_word(spec, u))
 
 
 def word_eq(

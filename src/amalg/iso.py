@@ -37,6 +37,7 @@ semidirect tables.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .amalgam import (
@@ -47,6 +48,7 @@ from .amalgam import (
     Syllable,
     _amalgam,
     _append,
+    _inverse_word,
     _mul,
     _word,
     check_form,
@@ -55,7 +57,6 @@ from .amalgam import (
     random_form,
     reduce_word,
     to_word,
-    word_inv,
 )
 from .groups import FiniteGroup, GroupAction, GroupHom
 from .products import SemidirectGroup, semidirect, split_maps
@@ -190,10 +191,13 @@ class SmallSemidirect:
         return _times(self.big, x, [(to_word(self.spec, w2), c2)])
 
     def inv(self, x: tuple[NormalForm, int]) -> tuple[NormalForm, int]:
+        """(w, c)^-1 = (c^-1(w^-1), c^-1): ``_times`` of (e, c^-1) and w's
+        inverse word, so that w is checked once."""
         w, c = x
         tau(self.big, c)  # reports c out of range
-        ci = self.actor.inv[c]
-        return self.big.act(ci, word_inv(self.spec, w)), ci
+        check_form(self.spec, w)
+        e = ((), self.spec.d.identity), self.actor.inv[c]
+        return _times(self.big, e, [(_inverse_word(self.spec, w), self.actor.identity)])
 
 
 def nu(big: BigAmalgam, form: NormalForm) -> NormalForm:
@@ -360,14 +364,18 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
     def times(x: tuple[NormalForm, int], y: tuple[NormalForm, int]) -> tuple[NormalForm, int]:
         return _times(big, x, [(_word(big.small, y[0]), y[1])])
 
-    # The hom law on all pairs of shorts.  One table lives for this call only:
-    # phi of each short and of each new product.
+    # One table per core map lives for this call only: each core is evaluated
+    # once per distinct argument, and every record reads its table.
+    phis = cache(lambda x: _phi(big, *x))
+    nus = cache(lambda w: _nu(big, w))
+    phi_invs = cache(lambda g: _phi_inv(big, g))
+
+    # The hom law on all pairs of shorts.
     def phi_hom_shorts() -> Iterator[str]:
         shorts = [(w, c) for w in enumerate_forms(big.small, 1) for c in cs]
-        phis = {x: _phi(big, *x) for x in shorts}
         e = identity_form(big.small), c_group.identity
         for x in shorts:
-            if _mul(spec, phis[e], phis[x]) != phis[x]:
+            if _mul(spec, phis(e), phis(x)) != phis(x):
                 yield f"x = {e}, y = {x}"
         for start, side, flat in ((SIDE_A, SIDE_B, big.sd_b.flat), (SIDE_B, SIDE_A, big.sd_a.flat)):
             gens = [(reduce_word(big.small, [(side, n)]), c) for n, c in (
@@ -377,9 +385,7 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
             for z in closure:  # grows by each new product
                 for s in gens:
                     zs = times(z, s)
-                    if zs not in phis:
-                        phis[zs] = _phi(big, *zs)
-                    if phis[zs] != _mul(spec, phis[z], phis[s]):
+                    if phis(zs) != _mul(spec, phis(z), phis(s)):
                         yield f"x = {z}, y = {s}"
                     if zs not in seen:
                         seen.add(zs)
@@ -394,18 +400,18 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
         ("phi-hom-single-syllable", phi_hom_shorts()),
         ("phi-homomorphism", (
             f"x = {x}, y = {y}" for x, y in drawn(lambda: (pair(), pair()))
-            if _phi(big, *times(x, y)) != _mul(spec, _phi(big, *x), _phi(big, *y))
+            if phis(times(x, y)) != _mul(spec, phis(x), phis(y))
         )),
         ("phi-inv-after-phi", (
-            f"x = {x}" for x in drawn(pair) if _phi_inv(big, _phi(big, *x)) != x
+            f"x = {x}" for x in drawn(pair) if phi_invs(phis(x)) != x
         )),
         ("phi-after-phi-inv", (
             f"g = {g}" for g in drawn(lambda: random_form(rng, spec, 6))
-            if _phi(big, *_phi_inv(big, g)) != g
+            if phis(phi_invs(g)) != g
         )),
         ("nu-homomorphism", (
             f"u = {u}, v = {v}" for u, v in drawn(lambda: (small(), small()))
-            if _nu(big, _mul(big.small, u, v)) != _mul(spec, _nu(big, u), _nu(big, v))
+            if nus(_mul(big.small, u, v)) != _mul(spec, nus(u), nus(v))
         )),
     )
     return Report(tuple(first_witness(check, spec.label, w) for check, w in checks))

@@ -19,10 +19,11 @@ and one renderer read either record.  A decomposition reduces its Euclid word
 once, with each long T^q folded a period at a time as a run, and checks the
 form's exact value: each stretch where the fold inserted whole periods, once
 one tuple comparison shows the head repeating there, as one period's product
-raised by ``mat_pow``, and every other syllable by one table lookup and
-product.  The renderer joins the letter words of the syllables and folds
-letters only from the first pair of equal neighbours.  All arithmetic is plain Python int, so
-entries may grow without overflow.
+raised by ``mat_pow``, and the other syllables by ``_table_product``, which
+multiplies each distinct block of ``_BLOCK`` syllables out once per call and
+folds one block product per step.  The renderer joins the letter words of
+the syllables and folds letters only from the first pair of equal neighbours.
+All arithmetic is plain Python int, so entries may grow without overflow.
 
 ``LETTERS`` maps each letter s, u, j to its tuple of powers, whose length is
 the letter's order.  Every function here that reads or writes letter words
@@ -121,15 +122,38 @@ def standard_generators() -> tuple[Mat2, Mat2, Mat2]:
     return Mat2(0, -1, 1, 0), Mat2(0, -1, 1, 1), Mat2(0, 1, 1, 0)
 
 
+# Keys per block of ``_table_product``.  A canonical head in either
+# realization alternates one side-a representative with one of two side-b
+# ones, so it has at most 8 distinct blocks of 4.  Against 4, perfbench's
+# decompose pass (seed 5) spent 1.14 times as long in gl2_decompose at 2,
+# 1.00 at 8 (but 1.08 on the random family, which holds the median op) and
+# 1.11 at 16.
+_BLOCK = 4
+
+
 def _table_product(
     tables: Mapping[str, Any], keys: Iterable[tuple[str, int]], start: Mat2 = IDENTITY
 ) -> Mat2:
     """``start`` times the product of ``tables[name][i]`` over the pairs
-    (name, i), left to right.  It folds the four entries as local ints and
-    builds one ``Mat2`` at the end, none per step."""
+    (name, i), left to right.  The keys are read ``_BLOCK`` at a time, then
+    the remainder, if any, as one short block.  Each distinct block is
+    multiplied out once per call, in a table that lives only for this call,
+    and each step folds one block's product into four local ints; one
+    ``Mat2`` is built at the end, none per step.  Each pair must be
+    hashable."""
+    keys = tuple(keys)
+    blocks: dict[tuple, tuple[int, int, int, int]] = {}
     a, b, c, d = start
-    for name, i in keys:
-        p, q, r, s = tables[name][i]
+    cut = len(keys) - len(keys) % _BLOCK
+    for block in chain(zip(*[iter(keys)] * _BLOCK), [keys[cut:]] if cut < len(keys) else ()):
+        m = blocks.get(block)
+        if m is None:
+            w, x, y, z = IDENTITY
+            for name, i in block:
+                p, q, r, s = tables[name][i]
+                w, x, y, z = w * p + x * r, w * q + x * s, y * p + z * r, y * q + z * s
+            m = blocks[block] = w, x, y, z
+        p, q, r, s = m
         a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
     return Mat2(a, b, c, d)
 
@@ -209,13 +233,14 @@ class SyllableMatrices(NamedTuple):
     syllables: tuple[tuple[tuple[str, int], Syllable], ...]
 
     def evaluate(self, form: NormalForm, periods: Iterable[tuple[int, int, int]] = ()) -> Mat2:
-        """Exact matrix value of a normal form: one table lookup and one
-        product per syllable, except in the stretches ``periods`` names.  A
-        stretch (start, p, count) whose slice of the head is its first p
-        syllables repeated ``count`` times, tested by one tuple comparison,
-        is one period's product raised to ``count`` by ``mat_pow``; one that
-        fails the test, is out of range or empty, or overlaps a stretch
-        already used is read syllable by syllable."""
+        """Exact matrix value of a normal form: the ``_table_product`` of its
+        syllables, which multiplies each distinct block of ``_BLOCK`` of them
+        out once, except in the stretches ``periods`` names.  A stretch
+        (start, p, count) whose slice of the head is its first p syllables
+        repeated ``count`` times, tested by one tuple comparison, is one
+        period's product raised to ``count`` by ``mat_pow``; one that fails
+        the test, is out of range or empty, or overlaps a stretch already
+        used is multiplied out with the rest of the head."""
         tables = {SIDE_A: self.a, SIDE_B: self.b}
         head, acc, done = form.head, IDENTITY, 0
         for start, p, count in sorted(periods):
@@ -283,7 +308,9 @@ def build_dihedral_model() -> DihedralModel:
 def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
     """Exact matrix value of a letter word or a (small or dihedral) form.  A
     letter word is evaluated from generator powers alone, never through the
-    amalgam, so it can check the decomposition; a form is checked first."""
+    amalgam, so it can check the decomposition; a form is checked first, and
+    its pairs are read as tuples, since ``check_form`` lets a list pair
+    through and the product kernel hashes its keys."""
     if isinstance(word, Glt2Word):
         return _table_product(LETTERS, _reduced_letters(word))
     model = build_dihedral_model()
@@ -294,7 +321,7 @@ def evaluate_word(word: Glt2Word | DihedralAmalgamForm | NormalForm) -> Mat2:
     else:
         raise TypeError(f"cannot evaluate {type(word).__name__}")
     check_form(mats.spec, word)
-    return mats.evaluate(word)
+    return mats.evaluate(NormalForm(tuple(map(tuple, word.head)), word.tail))
 
 
 # A T^q with |q| above this many blocks is one run, folded in O(period)

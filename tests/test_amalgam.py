@@ -9,10 +9,13 @@ from amalg import (
     SIDE_A,
     SIDE_B,
     AmalgamSpec,
+    DihedralAmalgamForm,
     FiniteGroup,
     GroupHom,
+    Mat2,
     NormalForm,
     enumerate_forms,
+    evaluate_word,
     hom_from_generators,
     identity_form,
     identity_hom,
@@ -23,6 +26,7 @@ from amalg import (
     nu,
     random_form,
     reduce_word,
+    small_form_to_letters,
     syllable_count,
     to_word,
     word_eq,
@@ -336,6 +340,12 @@ def test_a_list_syllable_reads_as_reduce_word_reads_it(small_spec, big):
     assert reduce_word(small_spec, to_word(small_spec, form)) == canonical
     assert word_eq(small_spec, form, canonical)
     assert nu(big, form) == nu(big, canonical)
+    # The matrix readers hash their pairs, so they read a list pair as a tuple.
+    tupled = NormalForm(tuple(map(tuple, head)), 1)
+    assert evaluate_word(form) == evaluate_word(canonical)
+    assert evaluate_word(NormalForm(([SIDE_A, 1], (SIDE_B, 1)), 0)) == Mat2(-1, -1, 0, -1)
+    assert evaluate_word(DihedralAmalgamForm(form)) == evaluate_word(DihedralAmalgamForm(tupled))
+    assert small_form_to_letters(form) == small_form_to_letters(tupled)
     with pytest.raises(ValueError, match="^element 9 out of range for side a"):
         to_word(small_spec, NormalForm(([SIDE_A, 9],), 0))
 

@@ -183,7 +183,7 @@ def test_phi_inv_reads_only_the_actions(big, monkeypatch):
         raise AssertionError("phi_inv reads only the actions")
 
     forms = enumerate_forms(big.spec, 3)
-    for name in ("_mu", "tau", "_mul", "word_inv"):
+    for name in ("_mu", "tau", "_mul", "_inverse_word"):
         monkeypatch.setattr(iso, name, forbidden)
     pairs = [phi_inv(big, g) for g in forms]
     monkeypatch.undo()
@@ -446,9 +446,9 @@ def test_single_syllable_hom_proof_counts_its_products(big, monkeypatch, instanc
     assert len(counted) == calls
 
 
-@pytest.mark.parametrize("instance", ["flagship", "Z40 *[Z2] Z6"])
-def test_the_verifiers_never_check_a_form_the_library_made(big, monkeypatch, instance):
-    b = big if instance == "flagship" else z40_over_z2_inverted()
+def count_check_form(monkeypatch) -> list:
+    """The forms ``check_form`` is called on, wherever ``amalgam`` or
+    ``iso`` calls it."""
     calls = []
     check_form = amalgam.check_form
 
@@ -458,9 +458,28 @@ def test_the_verifiers_never_check_a_form_the_library_made(big, monkeypatch, ins
 
     for module in (amalgam, iso):
         monkeypatch.setattr(module, "check_form", counting_check_form)
+    return calls
+
+
+@pytest.mark.parametrize("instance", ["flagship", "Z40 *[Z2] Z6"])
+def test_the_verifiers_never_check_a_form_the_library_made(big, monkeypatch, instance):
+    b = big if instance == "flagship" else z40_over_z2_inverted()
+    calls = count_check_form(monkeypatch)
     assert verify_exact_sequence(b, 3).ok
     assert verify_split(b, 60, 7).ok
     assert calls == []
+
+
+def test_the_semidirect_inverse_checks_its_form_once(big, monkeypatch):
+    # The inverse of (w, c) is c^-1 acting on w^-1, as the public maps give it.
+    sd, inv = SmallSemidirect(big), big.actor.inv
+    pairs = [(w, c) for w in enumerate_forms(big.small, 3) for c in big.actor.elements()]
+    expected = [(big.act(inv[c], word_inv(big.small, w)), inv[c]) for w, c in pairs]
+    calls = count_check_form(monkeypatch)
+    for (w, c), inverse in zip(pairs, expected):
+        calls.clear()
+        assert sd.inv((w, c)) == inverse
+        assert calls == [w]
 
 
 def _census_instances(monkeypatch):
@@ -705,6 +724,7 @@ FORM_READERS = {
     "act": (False, lambda big, w, v: big.act(1, w)),
     "sd-mul-left": (False, lambda big, w, v: SmallSemidirect(big).mul((w, 1), (v, 1))),
     "sd-mul-right": (False, lambda big, w, v: SmallSemidirect(big).mul((v, 1), (w, 1))),
+    "sd-inv": (False, lambda big, w, v: SmallSemidirect(big).inv((w, 1))),
     "nu": (False, lambda big, w, v: nu(big, w)),
     "phi": (False, lambda big, w, v: phi(big, w, 1)),
     "evaluate_word": (False, lambda big, w, v: evaluate_word(w)),

@@ -3,6 +3,7 @@
 import functools
 import random
 import sys
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -565,6 +566,87 @@ def test_the_run_aware_check_equals_the_flat_product(model, name, seed, edit):
     form, periods = matgroup._fold_runs(spec, [(prefix, 1), (block, k), (suffix, 1)])
     assert form == reduce_word(spec, raw + suffix)
     assert mats.evaluate(form, edited_report(periods, len(form.head), edit)) == flat_product(mats, form)
+
+
+def kernel_tables(model, name, rng):
+    """The tables ``_table_product`` reads, by name: the letter powers, both
+    realizations' sides, or random matrices for a nonabelian amalgam's sides."""
+    if name == "letters":
+        return matgroup.LETTERS
+    if name == "nonabelian":
+        spec = make_nonabelian_amalgam()
+        return {side: tuple(evaluate_word(random_letter_word(rng, 3)) for _ in range(g.order))
+                for side, g in ((SIDE_A, spec.a), (SIDE_B, spec.b))}
+    mats = model.small_mats if name == "small" else model.big_mats
+    return {SIDE_A: mats.a, SIDE_B: mats.b}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(name=st.sampled_from(["letters", "small", "dihedral", "nonabelian"]),
+       seed=st.integers(0, 2**32))
+def test_the_blocked_kernel_equals_the_flat_product(model, name, seed):
+    # Every key count up to three blocks and a remainder; each whole block is
+    # one of two drawn per count, so that blocks repeat, or a fresh one.  The
+    # keys come as a list with a drawn start, and as a generator.
+    rng = random.Random(seed)
+    tables = kernel_tables(model, name, rng)
+    keys = [(t, i) for t in tables for i in range(len(tables[t]))]
+    size = matgroup._BLOCK
+
+    def fresh(n):
+        return [rng.choice(keys) for _ in range(n)]
+
+    for n in range(3 * size + 4):
+        pool = [fresh(size), fresh(size)]
+        word = [key for _ in range(n // size)
+                for key in (rng.choice(pool) if rng.random() < 0.7 else fresh(size))]
+        word += fresh(n % size)
+        entries = [tables[t][i] for t, i in word]
+        start = Mat2(*(rng.randint(-10**30, 10**30) for _ in range(4)))
+        assert matgroup._table_product(tables, word, start) == functools.reduce(
+            mat_mul, entries, start)
+        assert matgroup._table_product(tables, (key for key in word)) == functools.reduce(
+            mat_mul, entries, IDENTITY)
+
+
+class CountingTables(Mapping):
+    """Tables that count how often their sides are read."""
+
+    def __init__(self, tables):
+        self.tables, self.reads = tables, 0
+
+    def __getitem__(self, side):
+        self.reads += 1
+        return self.tables[side]
+
+    def __iter__(self):
+        return iter(self.tables)
+
+    def __len__(self):
+        return len(self.tables)
+
+
+@pytest.mark.parametrize("length, first", [(400, SIDE_A), (403, SIDE_B)])
+def test_the_kernel_reads_each_distinct_block_once_per_call(model, length, first):
+    # A canonical dihedral head alternates side a's one representative with
+    # one of side b's two, so its blocks of 4 take at most 8 values.
+    spec, mats = model.big.spec, model.big_mats
+    rng = random.Random(length)
+    reps = {SIDE_A: spec.trans_a[1:], SIDE_B: spec.trans_b[1:]}
+    other = SIDE_B if first == SIDE_A else SIDE_A
+    head = tuple((s, rng.choice(reps[s])) for s in [first, other] * (length // 2 + 1))[:length]
+    assert reduce_word(spec, head) == NormalForm(head, spec.d.identity)
+    size = matgroup._BLOCK
+    blocks = {head[i:i + size] for i in range(0, length - length % size, size)}
+    assert len(blocks) <= 8
+    tables = CountingTables({SIDE_A: mats.a, SIDE_B: mats.b})
+    expected = flat_product(mats, NormalForm(head, spec.d.identity))
+    reads = []
+    for _ in range(2):  # the second call reads as much: no table outlives a call
+        tables.reads = 0
+        assert matgroup._table_product(tables, head) == expected
+        reads.append(tables.reads)
+    assert reads[0] == reads[1] <= size * len(blocks) + length % size
 
 
 def count_table_entries(monkeypatch) -> list[int]:
