@@ -77,8 +77,9 @@ class AmalgamSpec(NamedTuple):
     ``trans_a`` lists the chosen representatives (identity first), and
     ``decomp_a[x] = (t, d)`` is the unique splitting x = t * iota_a(d) with t
     a representative; likewise for the b side.  ``tables_a`` is the tuple
-    ``(a.mul, decomp_a, iota_a.image, a.identity)`` that reduction reads,
-    built once by ``make_amalgam``; likewise ``tables_b``.  ``syllables``,
+    ``(left, a.mul, decomp_a, a.identity, a.order)`` that reduction reads,
+    built once by ``make_amalgam``, where ``left[d]`` is the row
+    ``a.mul[iota_a(d)]``; likewise ``tables_b``.  ``syllables``,
     the frozenset of every syllable of either side, is read by ``check_form``.
     """
 
@@ -165,8 +166,8 @@ def _amalgam(
     label = f"{a.label} *[{d.label}] {b.label}"
     return AmalgamSpec(
         a, b, d, iota_a, iota_b, trans_a, trans_b, decomp_a, decomp_b, label,
-        (a.mul, decomp_a, iota_a.image, a.identity),
-        (b.mul, decomp_b, iota_b.image, b.identity),
+        (tuple(a.mul[x] for x in iota_a.image), a.mul, decomp_a, a.identity, a.order),
+        (tuple(b.mul[x] for x in iota_b.image), b.mul, decomp_b, b.identity, b.order),
         frozenset([(SIDE_A, x) for x in a.elements()] + [(SIDE_B, x) for x in b.elements()]),
     )
 
@@ -180,28 +181,36 @@ def _append(
 ) -> int:
     """Append raw syllables to the normal form (stack, d) in place.
 
-    Returns the new trailing subgroup part; ``stack`` is mutated.  An element
-    that is not an int in range, such as 1.5 or "1", is out of range, and a
-    syllable that is not a (side, element) pair is named with its position.
+    Returns the new trailing subgroup part; ``stack`` is mutated.  A syllable
+    (side, x) reads its side's record (``AmalgamSpec.tables_a``): iota(d) * x
+    is ``left[d][x]``, and the order bounds x.  ``top`` is the side of the
+    stack's top entry, read from the stack again only after a pop that pushes
+    nothing.  An element that is not an int in range, such as 1.5 or "1", is
+    out of range, and a syllable that is not a (side, element) pair is named
+    with its position.
     """
     side_a, side_b = spec.tables_a, spec.tables_b
+    top = stack[-1][0] if stack else None  # the side of the top entry
     x = 0  # an error with x an int comes from a syllable that is not a pair
     try:
         for side, x in syllables:
             if side == SIDE_A:
-                mul, decomp, img, e = side_a
+                left, mul, decomp, e, n = side_a
             elif side == SIDE_B:
-                mul, decomp, img, e = side_b
+                left, mul, decomp, e, n = side_b
             else:
                 break
-            if not 0 <= x < len(mul):
+            if not 0 <= x < n:
                 break
-            x = mul[img[d]][x]
-            if stack and stack[-1][0] == side:
+            x = left[d][x]
+            if top == side:
                 x = mul[stack.pop()[1]][x]
             t, d = decomp[x]
             if t != e:
                 stack.append((side, t))
+                top = side
+            elif top == side:  # popped, and nothing pushed
+                top = stack[-1][0] if stack else None
         else:
             return d
     except (TypeError, ValueError):
@@ -351,14 +360,10 @@ def word_eq(
     return nu == nv
 
 
-def _reps(spec: AmalgamSpec) -> dict[str, tuple[int, ...]]:
-    """The non-identity representatives of each side, in transversal order
-    (``_coset_data`` lists the identity first)."""
-    return {SIDE_A: spec.trans_a[1:], SIDE_B: spec.trans_b[1:]}
-
-
 def _heads(spec: AmalgamSpec, max_len: int) -> list[tuple[Syllable, ...]]:
-    reps = _reps(spec)
+    # The non-identity representatives of each side, in transversal order
+    # (``_coset_data`` lists the identity first).
+    reps = {SIDE_A: spec.trans_a[1:], SIDE_B: spec.trans_b[1:]}
     out: list[tuple[Syllable, ...]] = [()]
     layer: list[tuple[Syllable, ...]] = [()]
     for _ in range(max_len):
@@ -387,14 +392,16 @@ def random_form(rng: random.Random, spec: AmalgamSpec, max_head: int) -> NormalF
     """A seeded random normal form with head length at most max_head."""
     if max_head < 0:
         raise ValueError(f"max_head must be non-negative, got {max_head}")
-    reps = _reps(spec)
-    length = rng.randint(0, max_head)
-    sides = [s for s in (SIDE_A, SIDE_B) if reps[s]]
-    if len(sides) == 2 and rng.choice(sides) == SIDE_B:
-        sides.reverse()
-    # Heads alternate sides, so with representatives on one side only a head
-    # has at most one syllable.
-    sides = (sides * length)[: length if len(sides) == 2 else 1]
+    length = rng.randrange(max_head + 1)
+    ta, tb = spec.trans_a, spec.trans_b  # identity first
+    if len(ta) == 1 or len(tb) == 1:
+        # Heads alternate sides, so with representatives on one side only a
+        # head has at most one syllable, and with none it has none.
+        length = min(length, 1, len(ta) + len(tb) - 2)
+    first, second = (SIDE_A, ta), (SIDE_B, tb)
+    if len(tb) > 1 and (len(ta) == 1 or rng.randrange(2)):  # side b first
+        first, second = second, first
     # A list first: tuple() of a generator regrows the tuple (+0.5 MB peak RSS).
-    head = tuple([(s, rng.choice(reps[s])) for s in sides])
+    head = tuple([(s, t[1 + rng.randrange(len(t) - 1)])
+                  for s, t in ((first, second) * length)[:length]])
     return NormalForm(head, rng.randrange(spec.d.order))

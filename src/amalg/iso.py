@@ -378,14 +378,16 @@ def verify_split(big: BigAmalgam, samples: int, seed: int) -> Report:
             if _mul(spec, phis(e), phis(x)) != phis(x):
                 yield f"x = {e}, y = {x}"
         for start, side, flat in ((SIDE_A, SIDE_B, big.sd_b.flat), (SIDE_B, SIDE_A, big.sd_a.flat)):
-            gens = [(reduce_word(big.small, [(side, n)]), c) for n, c in (
-                divmod(g, c_group.order) for g in flat.generators or (flat.identity,))]
+            gens = [(s, phis(s)) for s in (
+                (reduce_word(big.small, [(side, n)]), c) for n, c in (
+                    divmod(g, c_group.order) for g in flat.generators or (flat.identity,)))]
             closure = [x for x in shorts if all(s == start for s, _ in x[0].head)]
             seen = set(closure)
             for z in closure:  # grows by each new product
-                for s in gens:
+                phi_z = phis(z)
+                for s, phi_s in gens:
                     zs = times(z, s)
-                    if phis(zs) != _mul(spec, phis(z), phis(s)):
+                    if phis(zs) != _mul(spec, phi_z, phi_s):
                         yield f"x = {z}, y = {s}"
                     if zs not in seen:
                         seen.add(zs)

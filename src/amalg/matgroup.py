@@ -140,10 +140,16 @@ def _table_product(
     multiplied out once per call, in a table that lives only for this call,
     and each step folds one block's product into four local ints; one
     ``Mat2`` is built at the end, none per step.  Each pair must be
-    hashable."""
+    hashable.  Fewer than ``_BLOCK`` keys, too few to earn back the table,
+    are folded in one by one."""
     keys = tuple(keys)
-    blocks: dict[tuple, tuple[int, int, int, int]] = {}
     a, b, c, d = start
+    if len(keys) < _BLOCK:
+        for name, i in keys:
+            p, q, r, s = tables[name][i]
+            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        return Mat2(a, b, c, d)
+    blocks: dict[tuple, tuple[int, int, int, int]] = {}
     cut = len(keys) - len(keys) % _BLOCK
     for block in chain(zip(*[iter(keys)] * _BLOCK), [keys[cut:]] if cut < len(keys) else ()):
         m = blocks.get(block)

@@ -62,25 +62,12 @@ def semidirect(space: FiniteGroup, actor: FiniteGroup, action: GroupAction) -> S
     # Re-run the action checks: semidirect correctness depends on them.
     make_action(actor, space, action.table)
 
-    nc, cc = space.order, actor.order
-    order = nc * cc
-    act = action.table
-    mul = []
-    for i1 in range(order):
-        n1, c1 = divmod(i1, cc)
-        row_n1 = space.mul[n1]
-        act_c1 = act[c1]
-        row_c1 = actor.mul[c1]
-        row = []
-        for i2 in range(order):
-            n2, c2 = divmod(i2, cc)
-            row.append(row_n1[act_c1[n2]] * cc + row_c1[c2])
-        mul.append(tuple(row))
-    inv = []
-    for i in range(order):
-        n, c = divmod(i, cc)
-        ci = actor.inv[c]
-        inv.append(act[ci][space.inv[n]] * cc + ci)
+    cc, act = actor.order, action.table
+    # Row (n1, c1) lists (n1 * c1(n2), c1 c2) for n2, then c2, as flat indices,
+    # and (n, c)^-1 = (c^-1(n^-1), c^-1).
+    mul = [tuple([row_n1[n] * cc + c for n in act_c1 for c in row_c1])
+           for row_n1 in space.mul for act_c1, row_c1 in zip(act, actor.mul)]
+    inv = [act[ci][ni] * cc + ci for ni in space.inv for ci in actor.inv]
     identity = space.identity * cc + actor.identity
 
     gens = tuple(n * cc + actor.identity for n in space.generators)

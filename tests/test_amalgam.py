@@ -34,7 +34,7 @@ from amalg import (
     word_mul,
 )
 
-from amalg.amalgam import _fold_runs
+from amalg.amalgam import _append, _fold_runs
 
 from oracles import ClosureOracle, all_words
 
@@ -186,6 +186,35 @@ def test_reduce_rejects_bad_syllables(small_spec):
         with pytest.raises(ValueError) as err:
             reduce_word(small_spec, word)
         assert str(err.value) == f"syllable {syllable} at position {i} is not a (side, element) pair"
+
+
+@pytest.mark.parametrize("name", ["small", "dihedral"])
+def test_the_fold_names_a_bad_syllable_anywhere_and_folds_onto_either_top(model, name):
+    spec = AMALGAMS[name](model)
+    label, na, nb = spec.label, spec.a.order, spec.b.order
+    starts = enumerate_forms(spec, 2)  # heads as _mul, _times and _fold_runs pass them
+    assert {u.head[-1][0] for u in starts if u.head} == {SIDE_A, SIDE_B}
+    word = [(SIDE_A, 1), (SIDE_B, 2), (SIDE_B, nb - 2), (SIDE_A, na - 1), (SIDE_A, 1), (SIDE_B, 1)]
+    for syllable, message in (
+        (("c", 1), "unknown side 'c'"),
+        ((SIDE_A, -1), f"element -1 out of range for side a of {label}"),
+        ((SIDE_A, na), f"element {na} out of range for side a of {label}"),
+        ((SIDE_B, nb), f"element {nb} out of range for side b of {label}"),
+        ((SIDE_A, 1.5), f"element 1.5 out of range for side a of {label}"),
+        ((SIDE_B, "1"), f"element '1' out of range for side b of {label}"),
+        ((SIDE_A, 1, 2), "syllable ('a', 1, 2) at position {i} is not a (side, element) pair"),
+        (5, "syllable 5 at position {i} is not a (side, element) pair"),
+    ):
+        for i in range(len(word) + 1):
+            for u in starts:
+                with pytest.raises(ValueError) as err:
+                    _append(spec, list(u.head), u.tail, word[:i] + [syllable] + word[i:])
+                assert str(err.value) == message.format(i=i)
+    for u in starts:
+        for w in all_words(spec, 2):
+            stack = list(u.head)
+            d = _append(spec, stack, u.tail, w)
+            assert NormalForm(tuple(stack), d) == reduce_word(spec, to_word(spec, u) + w)
 
 
 def test_reduce_is_idempotent_on_enumerated_forms(small_spec):
@@ -407,8 +436,9 @@ def test_free_product_closure_oracle_agreement():
 @pytest.mark.parametrize("name", list(AMALGAMS))
 def test_side_tables_are_built_once_and_hash_by_value(model, name):
     spec = AMALGAMS[name](model)
-    assert spec.tables_a == (spec.a.mul, spec.decomp_a, spec.iota_a.image, spec.a.identity)
-    assert spec.tables_b == (spec.b.mul, spec.decomp_b, spec.iota_b.image, spec.b.identity)
+    for tables, (g, iota, _, decomp) in zip((spec.tables_a, spec.tables_b), sides(spec)):
+        assert tables == (tuple(g.mul[x] for x in iota.image), g.mul, decomp, g.identity, g.order)
+        assert all(row is g.mul[x] for row, x in zip(tables[0], iota.image))  # rows shared
     again = make_amalgam(spec.a, spec.b, spec.d, spec.iota_a, spec.iota_b)
     assert again == spec
     assert hash(again) == hash(spec)
@@ -444,6 +474,29 @@ PINNED_DRAWS = {
     "one-sided": ("ba7feae34cdbab79543328ab77374effcbea47d68f830f660e20ead037938560",
                   "98937b8252fdd4e2ea306748ec7232290375404e866b3839e67f7f17eb58287e"),
 }
+
+
+def randint_random_form(rng, spec, max_head):
+    """random_form as a reference: the same draws written with ``randint``,
+    a per-call table of each side's representatives and ``choice``."""
+    reps = {SIDE_A: spec.trans_a[1:], SIDE_B: spec.trans_b[1:]}
+    length = rng.randint(0, max_head)
+    sides = [s for s in (SIDE_A, SIDE_B) if reps[s]]
+    if len(sides) == 2 and rng.choice(sides) == SIDE_B:
+        sides.reverse()
+    sides = (sides * length)[: length if len(sides) == 2 else 1]
+    head = tuple([(s, rng.choice(reps[s])) for s in sides])
+    return NormalForm(head, rng.randrange(spec.d.order))
+
+
+@pytest.mark.parametrize("name", list(AMALGAMS))
+def test_random_form_draws_as_the_reference_at_every_max_head(model, name):
+    spec = AMALGAMS[name](model)
+    for max_head in range(9):
+        rng, ref = random.Random(max_head), random.Random(max_head)
+        draws = [random_form(rng, spec, max_head) for _ in range(200)]
+        assert draws == [randint_random_form(ref, spec, max_head) for _ in range(200)]
+        assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("name", list(PINNED_DRAWS))

@@ -58,7 +58,7 @@ def test_a_failing_child_stops_the_tool_with_one_line_naming_it(tmp_path):
         " ModuleNotFoundError: No module named 'wl_decompose'"]
 
 
-@pytest.mark.parametrize("tool", ["decompose_families.py", "perf_pairs.py"])
+@pytest.mark.parametrize("tool", ["decompose_families.py", "perf_pairs.py", "verify_records.py"])
 def test_each_tool_runs_as_a_script_from_outside_the_repo(tmp_path, tool):
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / tool), "--help"],
                           cwd=tmp_path, capture_output=True, text=True)
