@@ -7,8 +7,8 @@ embeddings (d, c) -> (iota(d), c) exhibit a second amalgam
 (A x| C) *_(D x| C) (B x| C).  This module builds both (make_big_amalgam
 checks compatibility once) and the mutually inverse maps between them.  The
 law (w1, c1)(w2, c2) = (w1 c1(w2), c1 c2) is written once, in the fold
-``_times``, for the induced action BigAmalgam.act, SmallSemidirect, phi_inv
-and the Cayley edges of verify_split.
+``_times``, for the induced action BigAmalgam.act, phi_inv and the Cayley
+edges of verify_split.
 
   nu   embeds the plain amalgam into the big one (syllables pick up a
        trivial C-component),
@@ -23,8 +23,8 @@ Each public map checks the form its caller passed, once, with
 core, ``_nu``, ``_mu``, ``_phi`` or ``_phi_inv``, which checks nothing.  The
 verifiers read only values the library made (enumerated forms, seeded draws,
 phi tables and Cayley-edge products), so they call the cores, ``_mul`` for
-``word_mul`` and ``_times`` for SmallSemidirect.mul.  ``_phi`` reads tau(c)
-through ``tau``, so phi's records test the section that ``tau`` gives.
+``word_mul``, and the fold ``_times``.  ``_phi`` reads tau(c) through
+``tau``, so phi's records test the section that ``tau`` gives.
 
 verify_exact_sequence checks image nu = kernel mu at a head-length bound,
 and verify_split checks the section and hom laws plus both round trips.  Its
@@ -48,7 +48,6 @@ from .amalgam import (
     Syllable,
     _amalgam,
     _append,
-    _inverse_word,
     _mul,
     _word,
     check_form,
@@ -66,7 +65,6 @@ __all__ = [
     "CompatibleActionTriple",
     "BigAmalgam",
     "make_big_amalgam",
-    "SmallSemidirect",
     "nu",
     "mu",
     "tau",
@@ -168,36 +166,6 @@ def make_big_amalgam(spec: AmalgamSpec, acts: CompatibleActionTriple) -> BigAmal
     base_a, base_b = (split_maps(sd)[0].image for sd in (sd_a, sd_b))
     taus = tuple([NormalForm((), x) for x in split_maps(sd_d)[2].image])
     return BigAmalgam(spec, acts, sd_a, sd_b, sd_d, big_spec, base_a, base_b, taus)
-
-
-class SmallSemidirect:
-    """(A *_D B) x| C: pairs (normal form, actor element), each actor element
-    checked by ``tau``."""
-
-    def __init__(self, big: BigAmalgam):
-        self.big = big
-        self.spec = big.small
-        self.actor = big.actor
-
-    def identity(self) -> tuple[NormalForm, int]:
-        return identity_form(self.spec), self.actor.identity
-
-    def mul(
-        self, x: tuple[NormalForm, int], y: tuple[NormalForm, int]
-    ) -> tuple[NormalForm, int]:
-        (w1, c1), (w2, c2) = x, y
-        tau(self.big, c2), tau(self.big, c1)  # report actor elements out of range
-        check_form(self.spec, w1)
-        return _times(self.big, x, [(to_word(self.spec, w2), c2)])
-
-    def inv(self, x: tuple[NormalForm, int]) -> tuple[NormalForm, int]:
-        """(w, c)^-1 = (c^-1(w^-1), c^-1): ``_times`` of (e, c^-1) and w's
-        inverse word, so that w is checked once."""
-        w, c = x
-        tau(self.big, c)  # reports c out of range
-        check_form(self.spec, w)
-        e = ((), self.spec.d.identity), self.actor.inv[c]
-        return _times(self.big, e, [(_inverse_word(self.spec, w), self.actor.identity)])
 
 
 def nu(big: BigAmalgam, form: NormalForm) -> NormalForm:

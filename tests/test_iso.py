@@ -18,7 +18,6 @@ from amalg import (
     FiniteGroup,
     NormalForm,
     SemidirectGroup,
-    SmallSemidirect,
     build_dihedral_model,
     check_group_axioms,
     enumerate_forms,
@@ -183,7 +182,7 @@ def test_phi_inv_reads_only_the_actions(big, monkeypatch):
         raise AssertionError("phi_inv reads only the actions")
 
     forms = enumerate_forms(big.spec, 3)
-    for name in ("_mu", "tau", "_mul", "_inverse_word"):
+    for name in ("_mu", "tau", "_mul"):
         monkeypatch.setattr(iso, name, forbidden)
     pairs = [phi_inv(big, g) for g in forms]
     monkeypatch.undo()
@@ -278,11 +277,16 @@ class Law:
         return acc
 
 
+def times(b, x, y):
+    """x y in (A *_D B) x| C, through the library's fold ``iso._times``."""
+    return iso._times(b, x, [(to_word(b.small, y[0]), y[1])])
+
+
 @pytest.mark.parametrize("instance", ["flagship", "D4 *[Z2] D6", "Z9 *[Z3] Z6", "Z2r"])
 def test_the_maps_multiply_by_the_semidirect_law(big, instance):
     b = {"flagship": lambda: big, "D4 *[Z2] D6": d4_over_z2_by_reflections,
          "Z9 *[Z3] Z6": z9_over_z3_by_four, "Z2r": shifted_z2_on_z6_over_z3}[instance]()
-    law, sd = Law(b), SmallSemidirect(b)
+    law, e = Law(b), (identity_form(b.small), b.actor.identity)
     rng = random.Random(21)
 
     def pair():
@@ -291,15 +295,14 @@ def test_the_maps_multiply_by_the_semidirect_law(big, instance):
     for _ in range(150):
         x, y = pair(), pair()
         w, c = x
-        assert sd.mul(x, y) == law.mul(x, y), (x, y)
-        assert sd.inv(x) == law.inv(x), x
+        assert times(b, x, y) == law.mul(x, y), (x, y)
+        assert times(b, x, law.inv(x)) == e == times(b, law.inv(x), x), x
         assert b.act(c, w) == law.act(c, w), (c, w)
         g = random_form(rng, b.spec, 5)
         assert phi_inv(b, g) == law.psi(g), g
 
 
 def test_phi_satisfies_the_hom_law_on_short_forms(big):
-    sd = SmallSemidirect(big)
     elements = [
         (w, c)
         for w in enumerate_forms(big.small, 1)
@@ -307,7 +310,7 @@ def test_phi_satisfies_the_hom_law_on_short_forms(big):
     ]
     for x in elements:
         for y in elements:
-            lhs = phi(big, *sd.mul(x, y))
+            lhs = phi(big, *times(big, x, y))
             rhs = word_mul(big.spec, phi(big, *x), phi(big, *y))
             assert lhs == rhs
 
@@ -326,22 +329,22 @@ def test_conjugation_by_tau_realizes_the_action(big):
 
 
 def test_small_semidirect_group_laws(big):
-    sd = SmallSemidirect(big)
+    inv = Law(big).inv
     rng = random.Random(13)
-    e = sd.identity()
+    e = identity_form(big.small), big.actor.identity
     samples = [
         (random_form(rng, big.small, 3), rng.randrange(big.actor.order))
         for _ in range(30)
     ]
     for x in samples:
-        assert sd.mul(x, e) == x
-        assert sd.mul(e, x) == x
-        assert sd.mul(x, sd.inv(x)) == e
-        assert sd.mul(sd.inv(x), x) == e
+        assert times(big, x, e) == x
+        assert times(big, e, x) == x
+        assert times(big, x, inv(x)) == e
+        assert times(big, inv(x), x) == e
     for x in samples[:10]:
         for y in samples[:10]:
             for z in samples[:10]:
-                assert sd.mul(sd.mul(x, y), z) == sd.mul(x, sd.mul(y, z))
+                assert times(big, times(big, x, y), z) == times(big, x, times(big, y, z))
 
 
 def test_exact_sequence_verifier_passes(big):
@@ -470,18 +473,6 @@ def test_the_verifiers_never_check_a_form_the_library_made(big, monkeypatch, ins
     assert calls == []
 
 
-def test_the_semidirect_inverse_checks_its_form_once(big, monkeypatch):
-    # The inverse of (w, c) is c^-1 acting on w^-1, as the public maps give it.
-    sd, inv = SmallSemidirect(big), big.actor.inv
-    pairs = [(w, c) for w in enumerate_forms(big.small, 3) for c in big.actor.elements()]
-    expected = [(big.act(inv[c], word_inv(big.small, w)), inv[c]) for w, c in pairs]
-    calls = count_check_form(monkeypatch)
-    for (w, c), inverse in zip(pairs, expected):
-        calls.clear()
-        assert sd.inv((w, c)) == inverse
-        assert calls == [w]
-
-
 def _census_instances(monkeypatch):
     """Every compatible instance of perfbench's verify census, with its first
     embeddings and each of its action triples; the census is only read."""
@@ -513,9 +504,8 @@ def _edge_cases(small_spec):
 def _pair_scan_ok(b):
     """The reference for phi-hom-single-syllable: whether iso.phi satisfies
     phi(x y) = phi(x) phi(y), as forms, on every pair of S x S."""
-    sd = SmallSemidirect(b)
     shorts = [(w, c) for w in enumerate_forms(b.small, 1) for c in b.actor.elements()]
-    return all(iso.phi(b, *sd.mul(x, y)) == word_mul(b.spec, iso.phi(b, *x), iso.phi(b, *y))
+    return all(iso.phi(b, *times(b, x, y)) == word_mul(b.spec, iso.phi(b, *x), iso.phi(b, *y))
                for x in shorts for y in shorts)
 
 
@@ -534,9 +524,8 @@ def test_edge_proof_agrees_with_the_pair_scan_on_a_wrong_phi(
     big, monkeypatch, instance, products
 ):
     b = big if instance == "flagship" else z9_over_z3_by_four()
-    sd = SmallSemidirect(b)
     shorts = [(w, c) for w in enumerate_forms(b.small, 1) for c in b.actor.elements()]
-    wrong_ats = list(dict.fromkeys(sd.mul(x, y) for x in shorts for y in shorts))
+    wrong_ats = list(dict.fromkeys(times(b, x, y) for x in shorts for y in shorts))
     assert len(wrong_ats) == products
     phi = iso._phi
     for wrong_at in wrong_ats:
@@ -645,12 +634,6 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
     (lambda big: evaluate_word(NormalForm((), -1)), f"tail -1 {SMALL_SUB}"),
     (lambda big: evaluate_word(NormalForm((), 5)), f"tail 5 {SMALL_SUB}"),
     (lambda big: evaluate_word(DihedralAmalgamForm(NormalForm((), -1))), f"tail -1 {BIG_SUB}"),
-    (lambda big: SmallSemidirect(big).mul((NormalForm((), 0), 0), (NormalForm((), 0), -1)),
-     "pair (0, -1) out of range for Z2:Z2"),
-    (lambda big: SmallSemidirect(big).mul((NormalForm((), 0), 0), (NormalForm((), 0), 2)),
-     "pair (0, 2) out of range for Z2:Z2"),
-    (lambda big: SmallSemidirect(big).inv((NormalForm((), 0), -1)),
-     "pair (0, -1) out of range for Z2:Z2"),
     (lambda big: form_to_letters(DihedralAmalgamForm(NormalForm(((SIDE_A, -1),), 0))),
      "element -1 out of range for side a of Z4:Z2 *[Z2:Z2] Z6:Z2"),
     (lambda big: form_to_letters(DihedralAmalgamForm(NormalForm((("z", 1),), 0))),
@@ -681,8 +664,6 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
     (lambda big: tau(big, "1"), "pair (0, '1') out of range for Z2:Z2"),
     (lambda big: big.act(1.0, NormalForm(((SIDE_A, 1),), 0)),
      "pair (0, 1.0) out of range for Z2:Z2"),
-    (lambda big: SmallSemidirect(big).mul((NormalForm((), 0), 0), (NormalForm((), 0), 1.0)),
-     "pair (0, 1.0) out of range for Z2:Z2"),
     (lambda big: phi(big, NormalForm((), 0), 1.0), "pair (0, 1.0) out of range for Z2:Z2"),
     (lambda big: big.sd_d.encode(0, 1.0), "pair (0, 1.0) out of range for Z2:Z2"),
     (lambda big: big.sd_d.encode("0", 1), "pair ('0', 1) out of range for Z2:Z2"),
@@ -699,12 +680,12 @@ BIG_SUB = "out of range for the subgroup Z2:Z2 of Z4:Z2 *[Z2:Z2] Z6:Z2"
         "word-mul-left-tail-negative", "word-mul-left-a-negative", "word-mul-left-side-z",
         "word-mul-left-a-9", "evaluate-a-negative", "evaluate-a-9", "evaluate-side-z",
         "evaluate-tail-negative", "evaluate-tail-5", "evaluate-dihedral-tail-negative",
-        "sd-mul-negative", "sd-mul-2", "sd-inv-negative", "form-to-letters-a-negative",
+        "form-to-letters-a-negative",
         "form-to-letters-side-z", "small-form-to-letters-a-9", "side-matrix-side-z",
         "side-matrix-a-negative", "side-matrix-a-99", "sub-matrix-negative",
         "word-eq-a-9", "word-eq-side-z", "word-eq-tail-7", "word-eq-raw-and-tail-7",
         "to-word-a-float", "to-word-tail-float", "reduce-word-a-float", "word-mul-right-a-str",
-        "word-mul-right-tail-float", "tau-float", "tau-str", "act-float", "sd-mul-float",
+        "word-mul-right-tail-float", "tau-float", "tau-str", "act-float",
         "phi-float", "encode-float", "encode-str", "to-word-list-a-9"])
 def test_iso_maps_report_out_of_range_input(big, call, message):
     with pytest.raises(ValueError) as err:
@@ -722,9 +703,6 @@ FORM_READERS = {
     "word_inv": (False, lambda big, w, v: word_inv(big.small, w)),
     "syllable_count": (False, lambda big, w, v: syllable_count(big.small, w)),
     "act": (False, lambda big, w, v: big.act(1, w)),
-    "sd-mul-left": (False, lambda big, w, v: SmallSemidirect(big).mul((w, 1), (v, 1))),
-    "sd-mul-right": (False, lambda big, w, v: SmallSemidirect(big).mul((v, 1), (w, 1))),
-    "sd-inv": (False, lambda big, w, v: SmallSemidirect(big).inv((w, 1))),
     "nu": (False, lambda big, w, v: nu(big, w)),
     "phi": (False, lambda big, w, v: phi(big, w, 1)),
     "evaluate_word": (False, lambda big, w, v: evaluate_word(w)),

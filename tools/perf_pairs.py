@@ -29,8 +29,8 @@ they leave no cache behind.  A run or set-up child that exits non-zero
 stops the tool with exit status 1 and one line naming its checkout, exit
 code and last line of stderr (and a run's seed); so does a run whose last
 stdout line is not a JSON result, with that line.  Each such line begins with
-the name of the tool that ran, so that ``decompose_families.py``, which shares
-this child policy, names itself.  Standard library only.
+the name of the tool that ran, so that ``units.py``, which shares this child
+policy and the alternating order, names itself.  Standard library only.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ SETUP_CHILDREN = 20
 def _exit(line: str) -> None:
     """Exit with status 1 and ``line``, prefixed with the running tool's name."""
     sys.exit(f"{Path(sys.argv[0]).stem}: {line}")
+
+
+def alternate(i: int, parent: Path, change: Path) -> tuple[Path, Path]:
+    """Round ``i``'s order: the parent first in even rounds, else the change."""
+    return (parent, change) if i % 2 == 0 else (change, parent)
 
 
 def _child(checkout: Path, args: list[str], what: str) -> subprocess.CompletedProcess:
@@ -100,7 +105,7 @@ def setup_cpu(parent: Path, change: Path, workload: str) -> str:
         return "set-up CPU: skipped, no perfbench/cold_setup.py in " + ", ".join(map(str, missing))
     cpu: dict[Path, list[float]] = {parent: [], change: []}
     for i in range(SETUP_CHILDREN):
-        for checkout in (parent, change) if i % 2 == 0 else (change, parent):
+        for checkout in alternate(i, parent, change):
             before = resource.getrusage(resource.RUSAGE_CHILDREN)
             _child(checkout, ["perfbench/cold_setup.py", workload], f"set-up child in {checkout}")
             after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -195,8 +200,7 @@ def main() -> None:
     runs: dict[Path, list[dict]] = {args.parent: [], args.change: []}
     for i in range(args.pairs):
         seed = args.seed + i
-        order = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
-        for checkout in order:
+        for checkout in alternate(i, args.parent, args.change):
             runs[checkout].append(run_once(checkout, args.workload, seed, args.seconds))
             print(f"pair {i + 1}/{args.pairs} seed {seed} {checkout}: done", file=sys.stderr)
     cpu_line = setup_cpu(args.parent, args.change, args.workload)
