@@ -325,12 +325,10 @@ def _mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
 
 
 def word_mul(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
-    """Product of two normal forms read from a caller (``_mul``).
-    ``check_form`` checks u and v's tail, and ``_append`` checks v's head as
-    it folds it."""
+    """Product of two normal forms read from a caller, each checked by
+    ``check_form``: their ``_mul``."""
     check_form(spec, u)
-    if not (isinstance(v.tail, int) and 0 <= v.tail < len(spec.d.mul)):
-        check_form(spec, v)  # raises the error for v's tail
+    check_form(spec, v)
     return _mul(spec, u, v)
 
 

@@ -398,12 +398,21 @@ def _decompose(mats: SyllableMatrices, m: Mat2) -> NormalForm:
     return form
 
 
+def _check_entries(m: Mat2) -> None:
+    """Both decomposers' check of a caller's matrix, before any arithmetic: a
+    ValueError names the first entry (a, b, c or d) that is not an int.  True
+    and False pass as 1 and 0, as in ``SemidirectGroup.encode``."""
+    for name, x in zip(Mat2._fields, m):
+        if not isinstance(x, int):
+            raise ValueError(f"matrix entry {name} is {x!r}, not an integer")
+
+
 def sl2_decompose(m: Mat2) -> NormalForm:
     """Canonical amalgam normal form of a determinant-1 matrix, checked exactly."""
+    _check_entries(m)
     if mat_det(m) != 1:
         raise ValueError(f"matrix has determinant {mat_det(m)}, expected 1")
-    model = build_dihedral_model()
-    return _decompose(model.small_mats, m)
+    return _decompose(build_dihedral_model().small_mats, m)
 
 
 def gl2_split(m: Mat2) -> tuple[Mat2, int]:
@@ -419,8 +428,8 @@ def gl2_split(m: Mat2) -> tuple[Mat2, int]:
 def gl2_decompose(m: Mat2) -> DihedralAmalgamForm:
     """Canonical dihedral-amalgam form of a determinant +-1 matrix, checked
     exactly."""
-    model = build_dihedral_model()
-    return DihedralAmalgamForm(_decompose(model.big_mats, m))
+    _check_entries(m)
+    return DihedralAmalgamForm(_decompose(build_dihedral_model().big_mats, m))
 
 
 def word_to_form(word: Glt2Word) -> DihedralAmalgamForm:

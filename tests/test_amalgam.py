@@ -314,6 +314,10 @@ def test_word_mul_by_a_headless_form_agrees_with_concatenation(model, name):
             word_mul(spec, identity_form(spec), NormalForm((), tail))
         assert str(err.value) == (
             f"tail {tail!r} out of range for the subgroup {spec.d.label} of {spec.label}")
+    # A right factor whose head and tail are both bad: its head's error first.
+    with pytest.raises(ValueError) as err:
+        word_mul(spec, identity_form(spec), NormalForm(((SIDE_A, -1),), 99))
+    assert str(err.value) == f"element -1 out of range for side a of {spec.label}"
 
 
 def random_raw_word(rng, spec, length):

@@ -4,6 +4,7 @@ import functools
 import random
 import sys
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,25 @@ def test_sl2_decompose_requires_determinant_one():
         sl2_decompose(J)
     with pytest.raises(ValueError, match="determinant"):
         sl2_decompose(Mat2(2, 0, 0, 1))
+
+
+@pytest.mark.parametrize("decompose", [sl2_decompose, gl2_decompose])
+@pytest.mark.parametrize("position", range(4), ids=list("abcd"))
+@pytest.mark.parametrize("kind", [float, Fraction, str])
+def test_a_matrix_entry_that_is_not_an_int_is_named_with_its_position(decompose, position, kind):
+    # The identity with one entry of equal value but another type: its
+    # determinant still compares equal to 1.
+    entries = list(IDENTITY)
+    entries[position] = bad = kind(entries[position])
+    message = f"matrix entry {'abcd'[position]} is {bad!r}, not an integer"
+    assert error_of(decompose, Mat2(*entries)) == message
+
+
+def test_true_and_false_entries_pass_as_1_and_0():
+    m = Mat2(True, False, False, True)
+    assert sl2_decompose(m) == sl2_decompose(IDENTITY)
+    assert gl2_decompose(m) == gl2_decompose(IDENTITY)
+    assert gl2_decompose(Mat2(False, True, True, False)) == gl2_decompose(J)
 
 
 def test_sl2_round_trips_on_seeded_words():

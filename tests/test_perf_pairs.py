@@ -1,5 +1,5 @@
-"""The pair summary of tools/perf_pairs.py, on fixed numbers, and its exit when a
-run fails (no perfbench run)."""
+"""The pair summary of ``tools/bench.py pairs``, on fixed numbers, and its exit
+when a run fails (no perfbench run)."""
 
 import importlib.util
 import json
@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "perf_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("perf_pairs", _PATH)
-perf_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(perf_pairs)
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+_SPEC = importlib.util.spec_from_file_location("bench", _PATH)
+bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench)
 
 OPS = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}
 P50 = {"name": "p50_ms", "unit": "ms", "better": "lower", "bound": 0.24}
@@ -22,7 +22,7 @@ P50 = {"name": "p50_ms", "unit": "ms", "better": "lower", "bound": 0.24}
 def test_summary_of_a_higher_is_better_metric():
     parent = [10.0, 12.0, 11.0, 13.0, 9.0]
     change = [11.0, 12.0, 10.0, 14.0, 9.5]
-    assert perf_pairs.summarize(OPS, parent, change) == {
+    assert bench.summarize(OPS, parent, change) == {
         "parent_median": 11.0,
         "parent_quartiles": (10.0, 12.0),
         "change_median": 11.0,
@@ -36,18 +36,18 @@ def test_summary_of_a_higher_is_better_metric():
 def test_summary_of_a_lower_is_better_metric_outside_its_bound():
     parent = [1.0, 1.0, 1.2, 0.8]
     change = [1.3, 1.2, 1.4, 0.7]
-    s = perf_pairs.summarize(P50, parent, change)
+    s = bench.summarize(P50, parent, change)
     assert s["parent_median"] == 1.0 and s["change_median"] == 1.25
     assert s["parent_quartiles"] == (0.95, 1.05)
     assert s["wins"] == 1
     assert s["within_bound"] is False  # 25% slower against a bound of 24%
-    assert perf_pairs.summarize(P50, parent, [1.24, 1.2, 1.4, 0.7])["within_bound"] is True
+    assert bench.summarize(P50, parent, [1.24, 1.2, 1.4, 0.7])["within_bound"] is True
 
 
 def test_report_lists_every_run_and_the_verdicts():
     parent = [{"ops_per_s": 10.0, "p50_ms": 1.0}, {"ops_per_s": 12.0, "p50_ms": 1.2}]
     change = [{"ops_per_s": 6.0, "p50_ms": 0.9}, {"ops_per_s": 7.0, "p50_ms": 1.0}]
-    assert perf_pairs.report([OPS, P50], parent, change).splitlines() == [
+    assert bench.report([OPS, P50], parent, change).splitlines() == [
         "ops_per_s (1/s, higher is better, bound 0.2)",
         "  parent: 10 12",
         "  change: 6 7",
@@ -65,26 +65,26 @@ def test_gain_needs_nine_wins_in_ten_and_a_median_gain_beyond_the_parent_spread(
     parent = [10.0, 11.0, 9.0, 10.5, 9.5, 10.0, 10.2, 9.8, 10.1, 9.9]
     # Parent quartiles 9.825 and 10.175: a spread of 0.35.
     wins_all = [x + 0.5 for x in parent]
-    assert perf_pairs.summarize(OPS, parent, wins_all)["gain"] is True
+    assert bench.summarize(OPS, parent, wins_all)["gain"] is True
     too_close = [x + 0.3 for x in parent]  # median gain 0.3, within the spread
-    assert perf_pairs.summarize(OPS, parent, too_close)["gain"] is False
+    assert bench.summarize(OPS, parent, too_close)["gain"] is False
     eight_wins = wins_all[:8] + [9.0, 9.0]  # the last two pairs lost
-    assert perf_pairs.summarize(OPS, parent, eight_wins)["wins"] == 8
-    assert perf_pairs.summarize(OPS, parent, eight_wins)["gain"] is False
+    assert bench.summarize(OPS, parent, eight_wins)["wins"] == 8
+    assert bench.summarize(OPS, parent, eight_wins)["gain"] is False
     nine_wins = wins_all[:9] + [9.0]
-    assert perf_pairs.summarize(OPS, parent, nine_wins)["gain"] is True
+    assert bench.summarize(OPS, parent, nine_wins)["gain"] is True
     # Lower is better: the same runs are a gain read the other way round.
-    assert perf_pairs.summarize(P50, wins_all, parent)["gain"] is True
-    assert perf_pairs.summarize(P50, parent, wins_all)["gain"] is False
+    assert bench.summarize(P50, wins_all, parent)["gain"] is True
+    assert bench.summarize(P50, parent, wins_all)["gain"] is False
 
 
 def test_verdict_names_each_metric_outside_its_bound():
     parent = [{"ops_per_s": 10.0, "p50_ms": 1.0}, {"ops_per_s": 12.0, "p50_ms": 1.2}]
     within = [{"ops_per_s": 9.0, "p50_ms": 1.3}, {"ops_per_s": 11.0, "p50_ms": 1.3}]
-    assert perf_pairs.verdict([OPS, P50], parent, within) == "all metrics within bound"
+    assert bench.verdict([OPS, P50], parent, within) == "all metrics within bound"
     slow = [{"ops_per_s": 6.0, "p50_ms": 1.4}, {"ops_per_s": 7.0, "p50_ms": 1.4}]
-    assert perf_pairs.verdict([OPS, P50], parent, slow) == "outside bound: ops_per_s, p50_ms"
-    assert perf_pairs.verdict([P50], parent, slow) == "outside bound: p50_ms"
+    assert bench.verdict([OPS, P50], parent, slow) == "outside bound: ops_per_s, p50_ms"
+    assert bench.verdict([P50], parent, slow) == "outside bound: p50_ms"
 
 
 def test_main_ends_with_the_verdict_line(tmp_path):
@@ -154,17 +154,17 @@ def test_a_failing_set_up_child_exits_1_with_one_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1] == (
-        "perf_pairs: set-up child in change exited 1: no such workload")
+        "bench: set-up child in change exited 1: no such workload")
 
 
 def _run_pairs(tmp_path, runs, specs=()):
-    """perf_pairs.py on two checkouts whose perfbench/run.py are ``runs``."""
+    """``bench.py pairs`` on two checkouts whose perfbench/run.py are ``runs``."""
     for name, script in runs.items():
         (tmp_path / name / "perfbench").mkdir(parents=True, exist_ok=True)
         (tmp_path / name / "perfbench" / "run.py").write_text(script)
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(specs)}))
     return subprocess.run(
-        [sys.executable, str(_PATH), "parent", "change", "--workload", "verify",
+        [sys.executable, str(_PATH), "pairs", "parent", "change", "--workload", "verify",
          "--pairs", "2", "--seconds", "1", "--seed", "7"],
         cwd=tmp_path, capture_output=True, text=True,
     )
@@ -182,7 +182,7 @@ def test_a_failing_run_exits_1_with_one_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1] == (
-        "perf_pairs: run in change with seed 7 exited 3: ValueError: no such workload")
+        "bench: run in change with seed 7 exited 3: ValueError: no such workload")
 
 
 @pytest.mark.parametrize("cache", [
@@ -196,7 +196,7 @@ def test_a_bytecode_cache_in_either_checkout_stops_the_tool_before_any_run(tmp_p
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        f"perf_pairs: bytecode cache {cache} would let its checkout's set-up skip"
+        f"bench: bytecode cache {cache} would let its checkout's set-up skip"
         " compiling; remove it and run again"]
     assert (tmp_path / cache / "iso.cpython-311.pyc").is_file()  # nothing deleted
 
@@ -211,7 +211,7 @@ def test_every_bytecode_cache_is_named_in_the_one_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        "perf_pairs: bytecode caches parent/src/amalg/__pycache__, parent/perfbench/__pycache__"
+        "bench: bytecode caches parent/src/amalg/__pycache__, parent/perfbench/__pycache__"
         " would let their checkouts' set-up skip compiling; remove them and run again"]
     assert all((tmp_path / cache).is_dir() for cache in caches)  # nothing deleted
 
@@ -243,5 +243,28 @@ def test_a_run_without_a_json_result_exits_1_with_one_line(tmp_path, script, lin
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "pair 1/2 seed 7 parent: done",
-        f"perf_pairs: run in change with seed 7 exited 0 without a JSON result: {line}",
+        f"bench: run in change with seed 7 exited 0 without a JSON result: {line}",
     ]
+
+
+@pytest.mark.parametrize("parent, change, specs, line", [
+    ("{}", "{}", [OPS], "run in parent with seed 7 exited 0 without metrics ops_per_s"),
+    ("{}", "{}", [OPS, P50],
+     "run in parent with seed 7 exited 0 without metrics ops_per_s, p50_ms"),
+    ('{"p50_ms": {"value": 1}}', '{"ops_per_s": {"value": 10}}', [OPS, P50],
+     "run in parent with seed 7 exited 0 without metrics ops_per_s"),
+], ids=["one", "each", "one-of-two"])
+def test_a_run_without_an_end_to_end_metric_exits_1_before_any_later_run(
+        tmp_path, parent, change, specs, line):
+    # Each run logs its checkout; the first run, in the parent, lacks a metric
+    # that the change's BENCHMARK.json names.
+    run = ("from pathlib import Path\n"
+           "with open(Path('..', 'runs.log'), 'a') as log:\n"
+           "    log.write(Path.cwd().name + '\\n')\n"
+           "print('{\"metrics\": METRICS}')\n")
+    proc = _run_pairs(tmp_path, {"parent": run.replace("METRICS", parent),
+                                 "change": run.replace("METRICS", change)}, specs)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"bench: {line}"]
+    assert (tmp_path / "runs.log").read_text().splitlines() == ["parent"]
